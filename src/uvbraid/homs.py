@@ -70,15 +70,27 @@ class HomSpec:
         }
 
     @staticmethod
-    def from_json_dict(data: dict, params: Params) -> "HomSpec":
-        m = int(data["m"])
-        rho_imgs = tuple(Perm(tuple(imgs)) for imgs in data["rho"])
-        sigma_imgs = tuple(
-            tuple(Perm(tuple(imgs)) for imgs in col) for col in data["sigma"]
-        )
-        h = HomSpec(m, rho_imgs, sigma_imgs)
+    def from_json_dict(data: object, params: Params) -> "HomSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"hom spec must be a JSON object, got {type(data).__name__}")
+        missing = [key for key in ("m", "rho", "sigma") if key not in data]
+        if missing:
+            raise ValueError(f"hom spec is missing {', '.join(missing)}")
+        m, columns = data["m"], data["sigma"]
+        if type(m) is not int or not isinstance(columns, list):
+            raise ValueError("hom spec needs an integer m and a list of sigma columns")
+        rho_imgs = _perms_from_json(data["rho"])
+        h = HomSpec(m, rho_imgs, tuple(_perms_from_json(col) for col in columns))
         _check_shape(h, params)
         return h
+
+
+def _perms_from_json(items: object) -> tuple[Perm, ...]:
+    if not isinstance(items, list) or not all(
+        isinstance(imgs, list) and all(type(x) is int for x in imgs) for imgs in items
+    ):
+        raise ValueError(f"expected a list of permutations as integer lists, got {items!r}")
+    return tuple(Perm(tuple(imgs)) for imgs in items)
 
 
 def _check_shape(h: HomSpec, params: Params) -> None:

@@ -6,27 +6,27 @@ word taking the pair (i, i+1) to (i, j).  Two such letters commute
 exactly when their strand pairs {i, j} are disjoint, regardless of
 colour, and these commutations are a complete set of relations.  The
 kernel is therefore the right-angled Artin group on the commutation
-graph built here: n(n-1)c vertices (i, j, t), edges between
-colour-blind disjoint pairs.
+graph with n(n-1)c vertices (i, j, t) and edges between colour-blind
+disjoint pairs.
 
-Normal forms use the piling construction for trace monoids: letters are
-pushed onto one pile per generator, with a blocking marker pushed onto
-every non-commuting pile, and adjacent inverses cancel through
-commuting material.  Reading the piles back smallest-vertex-first (in
-lexicographic (i, j, t) order) yields a canonical fully-cancelled word:
-two words are equal in the group iff their normal forms are equal
-letter for letter.
+So a kernel word is a heap of pieces, each lying on its two strands,
+and normal forms keep one stack of pieces per strand: a letter cancels
+when both its strand stacks have on top the same piece, holding the
+inverse letter.  Reading back the smallest piece (in lexicographic
+(i, j, t) order) at the bottom of both its strands, again and again,
+yields a canonical fully-cancelled word: two words are equal in the
+group iff their normal forms are equal letter for letter.
 
-The graph also carries the certificates used elsewhere: an exact
-branch-and-bound maximum clique (for cohomological dimension), induced
-path detection (Howson property), a pair of joined non-edges spanning
-F2 x F2 (an obstruction to subgroup separability), and dominating
-vertices (central generators).
+The graph (``CommGraph``) is built only for the certificates used
+elsewhere: an exact branch-and-bound maximum clique (for cohomological
+dimension), induced path detection (Howson property), a pair of joined
+non-edges spanning F2 x F2 (an obstruction to subgroup separability),
+and dominating vertices (central generators).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -109,16 +109,11 @@ def parse_kword(text: str, params: Params) -> KWord:
         if tok[:1] not in ("d", "D"):
             raise ValueError(f"token {pos}: expected d<i>.<j>.<t>, got {tok!r}")
         parts = tok[1:].split(".")
-        if len(parts) != 3 or not all(p.isdigit() for p in parts):
+        if len(parts) != 3 or not tok.isascii() or not all(p.isdigit() for p in parts):
             raise ValueError(f"token {pos}: expected d<i>.<j>.<t>, got {tok!r}")
         sign = 1 if tok[0] == "d" else -1
         letters.append(KLetter(int(parts[0]), int(parts[1]), int(parts[2]), sign))
     return KWord(params, tuple(letters))
-
-
-def vertices_commute(u: Vertex, v: Vertex) -> bool:
-    """Colour-blind disjointness of the strand pairs."""
-    return not ({u[0], u[1]} & {v[0], v[1]})
 
 
 class CommGraph:
@@ -138,21 +133,14 @@ class CommGraph:
         )
         # Vertex tuples are generated in lexicographic order already.
         self.index: dict[Vertex, int] = {v: k for k, v in enumerate(self.verts)}
-        size = len(self.verts)
-        adj = [0] * size
-        for a in range(size):
-            va = self.verts[a]
-            for b in range(a + 1, size):
-                if vertices_commute(va, self.verts[b]):
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-        self.adj: tuple[int, ...] = tuple(adj)
-        self.noncomm: tuple[tuple[int, ...], ...] = tuple(
-            tuple(
-                b for b in range(size)
-                if b != a and not (adj[a] >> b) & 1
-            )
-            for a in range(size)
+        # A vertex is adjacent to every vertex touching neither of its strands.
+        touching = [0] * (n + 1)
+        for k, (i, j, _) in enumerate(self.verts):
+            touching[i] |= 1 << k
+            touching[j] |= 1 << k
+        full = (1 << len(self.verts)) - 1
+        self.adj: tuple[int, ...] = tuple(
+            full & ~(touching[i] | touching[j]) for (i, j, _) in self.verts
         )
 
     def __len__(self) -> int:
@@ -174,48 +162,48 @@ def build_graph(params: Params) -> CommGraph:
     return CommGraph(params)
 
 
-def normal_form(w: KWord, g: CommGraph) -> KWord:
-    """Canonical representative of w in the right-angled Artin group of g.
+def normal_form(w: KWord) -> KWord:
+    """Canonical representative of w in the right-angled Artin kernel.
 
-    Piling pass: push each letter onto its own pile and a 0 marker onto
-    every non-commuting pile; a letter meeting its inverse on top of its
-    own pile cancels instead, removing the matching markers.  Reading
-    pass: repeatedly emit the lexicographically smallest generator whose
-    pile front is a real letter.  The result is fully cancelled and
-    every run of pairwise-commuting letters appears in vertex order.
+    Stacking pass: a letter whose two strand stacks have the same piece
+    on top, holding its inverse, cancels that piece; otherwise it is
+    pushed as a new piece onto both stacks.  Reading pass: repeatedly
+    emit the lexicographically smallest piece at the bottom of both its
+    strands.  The result is fully cancelled and every run of
+    pairwise-commuting letters appears in (i, j, t) order.
     """
-    if w.params != g.params:
-        raise ValueError("kernel word and graph have different parameters")
-    piles: list[deque[int]] = [deque() for _ in g.verts]
-    signs_remaining = 0
-    order: list[int] = []
-    for letter in w:
-        vid = g.index.get(letter.vertex)
-        if vid is None:
-            raise ValueError(f"letter {letter.token()} is not a vertex of the graph")
-        pile = piles[vid]
-        if pile and pile[-1] == -letter.sign:
-            pile.pop()
-            for other in g.noncomm[vid]:
-                marker = piles[other].pop()
-                assert marker == 0
-            signs_remaining -= 1
-        else:
-            pile.append(letter.sign)
-            for other in g.noncomm[vid]:
-                piles[other].append(0)
-            signs_remaining += 1
+    strands: list[list[int]] = [[] for _ in range(w.params.n + 1)]
+    pieces = w.letters  # a piece is the position of its letter in w
+    for k, letter in enumerate(pieces):
+        on_i, on_j = strands[letter.i], strands[letter.j]
+        if on_i and on_j and on_i[-1] == on_j[-1]:
+            # The top piece lies on strands {i, j}, so equal i means equal j.
+            top = pieces[on_i[-1]]
+            if (top.i, top.t, top.sign) == (letter.i, letter.t, -letter.sign):
+                on_i.pop()
+                on_j.pop()
+                continue
+        on_i.append(k)
+        on_j.append(k)
+
+    for stack in strands:
+        stack.reverse()  # bottom piece last
+
+    def at_bottom(k: int) -> bool:
+        piece = pieces[k]
+        return strands[piece.i][-1] == k == strands[piece.j][-1]
+
+    ready = [(pieces[k].vertex, k) for k in {s[-1] for s in strands if s} if at_bottom(k)]
+    heapq.heapify(ready)
     out: list[KLetter] = []
-    while signs_remaining:
-        for vid, pile in enumerate(piles):
-            if pile and pile[0] != 0:
-                i, j, t = g.verts[vid]
-                out.append(KLetter(i, j, t, pile.popleft()))
-                for other in g.noncomm[vid]:
-                    marker = piles[other].popleft()
-                    assert marker == 0
-                signs_remaining -= 1
-                break
+    while ready:
+        piece = pieces[heapq.heappop(ready)[1]]
+        out.append(piece)
+        strands[piece.i].pop()
+        strands[piece.j].pop()
+        for k in {strands[s][-1] for s in (piece.i, piece.j) if strands[s]}:
+            if at_bottom(k):
+                heapq.heappush(ready, (pieces[k].vertex, k))
     return KWord(w.params, tuple(out))
 
 
@@ -314,7 +302,8 @@ def f2xf2_witness(g: CommGraph) -> Optional[F2F2Witness]:
         and g.adjacent(x2, y1)
         and g.adjacent(x2, y2)
     )
-    assert ok, "witness adjacency pattern failed"
+    if not ok:
+        raise RuntimeError("F2 x F2 witness adjacency pattern failed")
     return quad
 
 

@@ -4,10 +4,10 @@ Every word factors as (kernel part) * (virtual part): scanning left to
 right while tracking the permutation p of the virtual prefix, a
 crossing letter s<i>.<t>^e seen at prefix p equals the kernel letter
 d<p(i)>.<p(i+1)>.<t>^e, and the virtual letters accumulate into
-rho_word(p).  The kernel part lives in the right-angled Artin group of
-the commutation graph, where equality is decided by the piling normal
-form; the virtual part is just a permutation.  Two words are equal iff
-both components agree, which makes the word problem exact and fast.
+rho_word(p).  The kernel part lives in the right-angled Artin kernel,
+where the strand-stack ``raag.normal_form`` decides equality; the
+virtual part is just a permutation.  Two words are equal iff both
+components agree, which makes the word problem exact and fast.
 
 ``kletter_to_word`` expands a kernel letter back into generators:
 d<i>.<i+1>.<t> is s<i>.<t> itself, and more distant pairs conjugate by
@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import Perm, adjacent, compose, identity, strand_permutation
-from .raag import KLetter, KWord, build_graph, check_kletter, normal_form
+from .perms import Perm, strand_permutation
+from .raag import KLetter, KWord, check_kletter, normal_form
 from .words import SIGMA, Letter, Params, Word, rho, sigma
 
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Canonical pair: piled kernel word and the virtual permutation."""
+    """Canonical pair: kernel normal form and the virtual permutation."""
 
     kword: KWord
     perm: Perm
@@ -46,10 +46,10 @@ def kletter_to_word(d: KLetter, params: Params) -> Word:
 
 
 def expand_kword(kw: KWord) -> Word:
-    out = Word(kw.params)
-    for letter in kw:
-        out = out * kletter_to_word(letter, kw.params)
-    return out
+    letters: list[Letter] = []
+    for d in kw:
+        letters.extend(kletter_to_word(d, kw.params).letters)
+    return Word(kw.params, tuple(letters))
 
 
 def permute_kletter(p: Perm, d: KLetter) -> KLetter:
@@ -59,19 +59,16 @@ def permute_kletter(p: Perm, d: KLetter) -> KLetter:
 
 def to_normal_form(w: Word) -> NormalForm:
     """Factor w as (kernel normal form) * rho_word(virtual permutation)."""
-    params = w.params
-    if params.n == 1:
-        return NormalForm(KWord(params), identity(1))
-    n = params.n
-    p = identity(n)
+    # images[k - 1] is p(k) for the virtual prefix p; r<i> swaps entries i, i+1.
+    images = list(range(1, w.params.n + 1))
     emitted: list[KLetter] = []
     for letter in w:
+        i = letter.i
         if letter.kind == SIGMA:
-            emitted.append(KLetter(p(letter.i), p(letter.i + 1), letter.t, letter.sign))
+            emitted.append(KLetter(images[i - 1], images[i], letter.t, letter.sign))
         else:
-            p = compose(p, adjacent(n, letter.i))
-    graph = build_graph(params)
-    return NormalForm(normal_form(KWord(params, tuple(emitted)), graph), p)
+            images[i - 1], images[i] = images[i], images[i - 1]
+    return NormalForm(normal_form(KWord(w.params, tuple(emitted))), Perm(tuple(images)))
 
 
 def is_trivial(w: Word) -> bool:

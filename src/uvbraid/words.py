@@ -146,15 +146,16 @@ class ParseError(ValueError):
 
 
 def _parse_token(tok: str, position: int, params: Params) -> Letter:
+    # int() accepts any Unicode decimal digit, so insist on ASCII first.
     if tok[0] in ("r", "R"):
         body = tok[1:]
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):
             raise ParseError(f"expected r<i> but got {tok!r}", position)
         letter = rho(int(body))
     elif tok[0] in ("s", "S"):
         body = tok[1:]
         parts = body.split(".")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not body.isascii() or not all(p.isdigit() for p in parts):
             raise ParseError(f"expected {tok[0]}<i>.<t> but got {tok!r}", position)
         sign = 1 if tok[0] == "s" else -1
         try:

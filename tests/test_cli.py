@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uvbraid
 from uvbraid.cli import run
 
 
@@ -45,6 +50,13 @@ def test_bad_word_exits_2(capsys):
 def test_bad_params_exit_2(capsys):
     assert run(["vcd", "--n", "0", "--c", "1"]) == 2
     capsys.readouterr()
+
+
+def test_non_ascii_digit_exits_2_with_token_position(capsys):
+    assert run(["nf", "--n", "3", "--c", "1", "--word", "r1 r\u00b2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: token 2:")
 
 
 def test_missing_flag_exits_2(capsys):
@@ -177,6 +189,23 @@ def test_hom_check_bad_json(tmp_path, capsys):
     bad.write_text("{nope")
     assert run(["hom", "check", "--n", "3", "--c", "1", "--file", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [('{"m": 3}', "missing rho, sigma"), ("[1,2]", "must be a JSON object")],
+)
+def test_hom_check_malformed_spec_exits_2(spec, message):
+    src = Path(uvbraid.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "uvbraid", "hom", "check", "--n", "3"],
+        input=spec, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_hom_enumerate(capsys):

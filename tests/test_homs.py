@@ -91,6 +91,25 @@ def test_homspec_json_round_trip():
     assert HomSpec.from_json_dict(data, p) == h
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1, 2],
+        "m",
+        {"m": 3},
+        {"rho": [], "sigma": []},
+        {"m": "3", "rho": [[2, 1, 3], [1, 3, 2]], "sigma": [[[2, 1, 3]], [[1, 3, 2]]]},
+        {"m": True, "rho": [[2, 1]], "sigma": [[[2, 1]]]},
+        {"m": 3, "rho": 5, "sigma": []},
+        {"m": 3, "rho": [[2, 1, 3], [1, 3, 2]], "sigma": [5, 6]},
+        {"m": 3, "rho": [["2", "1", "3"], [1, 3, 2]], "sigma": [[[2, 1, 3]], [[1, 3, 2]]]},
+    ],
+)
+def test_from_json_rejects_malformed_specs(data):
+    with pytest.raises(ValueError):
+        HomSpec.from_json_dict(data, Params(3, 1))
+
+
 def test_from_json_rejects_bad_shapes():
     p = Params(3, 1)
     data = hom_from_bits((1, 1), p).to_json_dict()

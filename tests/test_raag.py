@@ -17,7 +17,11 @@ from uvbraid import (
     parse_kword,
     to_dot,
 )
-from uvbraid.raag import vertices_commute
+
+
+def vertices_commute(u, v):
+    """Pairwise reference: colour-blind disjointness of the strand pairs."""
+    return not ({u[0], u[1]} & {v[0], v[1]})
 
 
 def D(i, j, t, sign=1):
@@ -61,6 +65,21 @@ def test_vertices_commute_is_disjointness():
     assert not vertices_commute((1, 2, 1), (1, 2, 2))
 
 
+@pytest.mark.parametrize("text", ["d1.\u00b2.1", "d\u00b2.1.1", "D1.2.\u0661"])
+def test_parse_kword_rejects_non_ascii_digits_with_position(text):
+    with pytest.raises(ValueError, match="^token 2: expected d<i>.<j>.<t>"):
+        parse_kword("d1.2.1 " + text, Params(3, 1))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("c", (1, 2, 3))
+def test_mask_adjacency_matches_pairwise_reference(n, c):
+    g = CommGraph(Params(n, c))
+    for a, u in enumerate(g.verts):
+        for b, v in enumerate(g.verts):
+            assert bool((g.adj[a] >> b) & 1) == (a != b and vertices_commute(u, v))
+
+
 def test_graph_sizes():
     # n(n-1)c ordered pairs
     assert len(build_graph(Params(4, 1)).verts) == 12
@@ -84,30 +103,26 @@ def test_adjacency_examples():
 
 def test_normal_form_sorts_commuting_letters():
     p = Params(4, 1)
-    g = build_graph(p)
     w = kword(p, D(3, 4, 1), D(1, 2, 1))
-    assert normal_form(w, g).letters == (D(1, 2, 1), D(3, 4, 1))
+    assert normal_form(w).letters == (D(1, 2, 1), D(3, 4, 1))
 
 
 def test_normal_form_cancels_across_commuting_letters():
     p = Params(4, 1)
-    g = build_graph(p)
     w = kword(p, D(1, 2, 1), D(3, 4, 1), D(1, 2, 1, -1))
-    assert normal_form(w, g).letters == (D(3, 4, 1),)
+    assert normal_form(w).letters == (D(3, 4, 1),)
 
 
 def test_normal_form_keeps_noncommuting_order():
     p = Params(4, 1)
-    g = build_graph(p)
     w = kword(p, D(2, 3, 1), D(1, 2, 1))
-    assert normal_form(w, g).letters == (D(2, 3, 1), D(1, 2, 1))
+    assert normal_form(w).letters == (D(2, 3, 1), D(1, 2, 1))
 
 
 def test_normal_form_rejects_foreign_letters():
     p = Params(4, 1)
-    g = build_graph(p)
     with pytest.raises(ValueError):
-        normal_form(kword(p, D(1, 2, 2)), g)
+        normal_form(kword(p, D(1, 2, 2)))
 
 
 def test_normal_form_idempotent_and_kills_inverses():
@@ -117,9 +132,9 @@ def test_normal_form_idempotent_and_kills_inverses():
         g = build_graph(p)
         for _ in range(80):
             w = random_kword(p, g, rng, 20)
-            nf = normal_form(w, g)
-            assert normal_form(nf, g) == nf
-            assert normal_form(KWord(p, w.letters + w.inverse().letters), g).letters == ()
+            nf = normal_form(w)
+            assert normal_form(nf) == nf
+            assert normal_form(KWord(p, w.letters + w.inverse().letters)).letters == ()
 
 
 def test_normal_form_congruence():
@@ -129,9 +144,9 @@ def test_normal_form_congruence():
     for _ in range(60):
         u = random_kword(p, g, rng, 12)
         v = random_kword(p, g, rng, 12)
-        direct = normal_form(KWord(p, u.letters + v.letters), g)
+        direct = normal_form(KWord(p, u.letters + v.letters))
         via = normal_form(
-            KWord(p, normal_form(u, g).letters + normal_form(v, g).letters), g
+            KWord(p, normal_form(u).letters + normal_form(v).letters)
         )
         assert direct == via
 

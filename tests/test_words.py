@@ -81,6 +81,14 @@ def test_parse_errors_carry_position():
         parse_word("s3.1", p)
 
 
+@pytest.mark.parametrize("text", ["r\u00b2", "s\u00b2.1", "s1.\u00b2", "r\u0661"])
+def test_parse_rejects_non_ascii_digits_with_position(text):
+    with pytest.raises(ParseError) as err:
+        parse_word("r1 " + text, Params(3, 1))
+    assert err.value.position == 2
+    assert str(err.value).startswith("token 2: expected")
+
+
 def test_word_multiplication_checks_params():
     u = parse_word("r1", Params(3, 1))
     v = parse_word("r1", Params(4, 1))
