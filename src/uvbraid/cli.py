@@ -12,6 +12,7 @@ subcommand, and 1 when ``verify-paper`` finds a failing claim.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,40 +21,10 @@ from .perms import strand_permutation, virtual_permutation
 from .raag import CommGraph, build_graph
 from .words import Params, Word, parse_word
 
-COMMANDS = (
-    "nf",
-    "eq",
-    "trivial",
-    "pure",
-    "perm",
-    "graph",
-    "vcd",
-    "howson",
-    "lerf-witness",
-    "center-witness",
-    "hom",
-    "ab",
-    "chi",
-    "quot",
-    "oracle",
-    "verify-paper",
-)
 
-MODES = {
-    "graph": ("dot", "stats"),
-    "hom": ("check", "phi", "enumerate"),
-    "quot": ("eval", "order"),
-    "oracle": ("eq",),
-}
-
-
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _parse(args: argparse.Namespace, text: str) -> tuple[Params, Word]:
-    params = Params(args.n, args.c)
-    return params, parse_word(text, params)
+def _emit(**fields) -> int:
+    sys.stdout.write(json.dumps({"schema": 1, **fields}, indent=2) + "\n")
+    return 0
 
 
 def _nf_dict(w: Word) -> dict:
@@ -71,125 +42,79 @@ def _maybe_graph(params: Params) -> CommGraph | None:
     return build_graph(params)
 
 
-def _cmd_nf(args: argparse.Namespace) -> int:
-    _, w = _parse(args, args.word)
-    _emit({"schema": 1, **_nf_dict(w)})
-    return 0
+def _cmd_nf(args: argparse.Namespace, params: Params) -> int:
+    return _emit(**_nf_dict(parse_word(args.word, params)))
 
 
-def _cmd_eq(args: argparse.Namespace) -> int:
-    params, u = _parse(args, args.left)
+def _cmd_eq(args: argparse.Namespace, params: Params) -> int:
+    u = parse_word(args.left, params)
     v = parse_word(args.right, params)
-    _emit(
-        {
-            "schema": 1,
-            "equal": semidirect.are_equal(u, v),
-            "left": _nf_dict(u),
-            "right": _nf_dict(v),
-        }
-    )
-    return 0
+    return _emit(equal=semidirect.are_equal(u, v), left=_nf_dict(u), right=_nf_dict(v))
 
 
-def _cmd_trivial(args: argparse.Namespace) -> int:
-    _, w = _parse(args, args.word)
-    _emit({"schema": 1, "trivial": semidirect.is_trivial(w), **_nf_dict(w)})
-    return 0
+def _cmd_trivial(args: argparse.Namespace, params: Params) -> int:
+    w = parse_word(args.word, params)
+    return _emit(trivial=semidirect.is_trivial(w), **_nf_dict(w))
 
 
-def _cmd_pure(args: argparse.Namespace) -> int:
-    _, w = _parse(args, args.word)
+def _cmd_pure(args: argparse.Namespace, params: Params) -> int:
+    w = parse_word(args.word, params)
     p = strand_permutation(w)
-    _emit(
-        {
-            "schema": 1,
-            "pure": semidirect.is_pure(w),
-            "strand_perm": list(p.images),
-            "strand_cycles": p.cycle_string(),
-        }
+    return _emit(
+        pure=semidirect.is_pure(w), strand_perm=list(p.images), strand_cycles=p.cycle_string()
     )
-    return 0
 
 
-def _cmd_perm(args: argparse.Namespace) -> int:
-    _, w = _parse(args, args.word)
+def _cmd_perm(args: argparse.Namespace, params: Params) -> int:
+    w = parse_word(args.word, params)
     sp = strand_permutation(w)
     vp = virtual_permutation(w)
-    _emit(
-        {
-            "schema": 1,
-            "strand_perm": list(sp.images),
-            "strand_cycles": sp.cycle_string(),
-            "virtual_perm": list(vp.images),
-            "virtual_cycles": vp.cycle_string(),
-        }
+    return _emit(
+        strand_perm=list(sp.images),
+        strand_cycles=sp.cycle_string(),
+        virtual_perm=list(vp.images),
+        virtual_cycles=vp.cycle_string(),
     )
-    return 0
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    params = Params(args.n, args.c)
+def _cmd_graph(args: argparse.Namespace, params: Params) -> int:
     g = _maybe_graph(params)
     if args.mode == "dot":
-        if g is None:
-            sys.stdout.write("graph commutation {\n}\n")
-        else:
-            sys.stdout.write(raag.to_dot(g))
+        sys.stdout.write("graph commutation {\n}\n" if g is None else raag.to_dot(g))
         return 0
     degrees = [g.degree(v) for v in g.verts] if g is not None else []
-    _emit(
-        {
-            "schema": 1,
-            "vertices": 0 if g is None else len(g.verts),
-            "edges": 0 if g is None else g.edge_count(),
-            "min_degree": min(degrees) if degrees else 0,
-            "max_degree": max(degrees) if degrees else 0,
-        }
+    return _emit(
+        vertices=0 if g is None else len(g.verts),
+        edges=0 if g is None else g.edge_count(),
+        min_degree=min(degrees) if degrees else 0,
+        max_degree=max(degrees) if degrees else 0,
     )
-    return 0
 
 
-def _cmd_vcd(args: argparse.Namespace) -> int:
-    params = Params(args.n, args.c)
+def _cmd_vcd(args: argparse.Namespace, params: Params) -> int:
     g = _maybe_graph(params)
     k = 0 if g is None else raag.clique_number(g)
-    _emit({"schema": 1, "clique_number": k, "vcd": k})
-    return 0
+    return _emit(clique_number=k, vcd=k)
 
 
-def _cmd_howson(args: argparse.Namespace) -> int:
-    params = Params(args.n, args.c)
+def _cmd_howson(args: argparse.Namespace, params: Params) -> int:
     g = _maybe_graph(params)
-    if g is None:
-        free, witness = True, None
-    else:
-        free, witness = raag.is_p3_free(g)
-    _emit(
-        {
-            "schema": 1,
-            "howson": free,
-            "p3_witness": None if witness is None else [list(v) for v in witness],
-        }
+    free, witness = (True, None) if g is None else raag.is_p3_free(g)
+    return _emit(
+        howson=free, p3_witness=None if witness is None else [list(v) for v in witness]
     )
-    return 0
 
 
-def _cmd_lerf_witness(args: argparse.Namespace) -> int:
-    params = Params(args.n, args.c)
+def _cmd_lerf_witness(args: argparse.Namespace, params: Params) -> int:
     g = _maybe_graph(params)
     witness = None if g is None else raag.f2xf2_witness(g)
-    _emit(
-        {
-            "schema": 1,
-            "lerf": witness is None,
-            "f2xf2_witness": None if witness is None else [list(v) for v in witness],
-        }
+    return _emit(
+        lerf=witness is None,
+        f2xf2_witness=None if witness is None else [list(v) for v in witness],
     )
-    return 0
 
 
-def _cmd_center_witness(args: argparse.Namespace) -> int:
-    params = Params(args.n, args.c)
+def _cmd_center_witness(args: argparse.Namespace, params: Params) -> int:
     g = _maybe_graph(params)
     dom = [] if g is None else [list(v) for v in raag.dominating_vertices(g)]
     if params.n >= 2:
@@ -200,19 +125,10 @@ def _cmd_center_witness(args: argparse.Namespace) -> int:
     else:
         pair = None
         commute = None
-    _emit(
-        {
-            "schema": 1,
-            "dominating_vertices": dom,
-            "noncommuting_pair": pair,
-            "commute": commute,
-        }
-    )
-    return 0
+    return _emit(dominating_vertices=dom, noncommuting_pair=pair, commute=commute)
 
 
-def _cmd_hom_check(args: argparse.Namespace) -> int:
-    params = Params(args.n, args.c)
+def _cmd_hom_check(args: argparse.Namespace, params: Params) -> int:
     if args.file == "-":
         raw = sys.stdin.read()
     else:
@@ -227,40 +143,32 @@ def _cmd_hom_check(args: argparse.Namespace) -> int:
         raise ValueError(f"invalid JSON: {exc}") from exc
     h = homs.HomSpec.from_json_dict(data, params)
     ok, label = homs.verify_homspec(h, params)
-    _emit(
-        {
-            "schema": 1,
-            "homomorphism": ok,
-            "failed_relation": label,
-            "abelian_image": homs.has_abelian_image(h) if ok else None,
-        }
+    return _emit(
+        homomorphism=ok,
+        failed_relation=label,
+        abelian_image=homs.has_abelian_image(h) if ok else None,
     )
-    return 0
 
 
-def _cmd_hom_phi(args: argparse.Namespace) -> int:
-    params = Params(args.n, args.c)
+def _cmd_hom_phi(args: argparse.Namespace, params: Params) -> int:
     try:
         bits = tuple(int(piece) for piece in args.eps.split(","))
     except ValueError as exc:
         raise ValueError(f"--eps must be comma-separated bits: {args.eps!r}") from exc
     h = homs.hom_from_bits(bits, params)
-    payload = {
-        "schema": 1,
+    fields = {
         "bits": list(bits),
         "admissible": homs.is_admissible(bits, params) if params.n >= 3 else None,
         "hom": h.to_json_dict(),
     }
     if args.word is not None:
         image = h.evaluate(parse_word(args.word, params))
-        payload["image"] = list(image.images)
-        payload["image_cycles"] = image.cycle_string()
-    _emit(payload)
-    return 0
+        fields["image"] = list(image.images)
+        fields["image_cycles"] = image.cycle_string()
+    return _emit(**fields)
 
 
-def _cmd_hom_enumerate(args: argparse.Namespace) -> int:
-    params = Params(args.n, args.c)
+def _cmd_hom_enumerate(args: argparse.Namespace, params: Params) -> int:
     budget = homs.SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     try:
         found = homs.enumerate_homs(params, args.m, budget)
@@ -269,236 +177,211 @@ def _cmd_hom_enumerate(args: argparse.Namespace) -> int:
             f"search budget exceeded with {len(exc.partial)} homomorphisms found\n"
         )
         return 2
-    _emit(
-        {
-            "schema": 1,
-            "m": args.m,
-            "count": len(found),
-            "homs": [h.to_json_dict() for h in found],
-        }
+    return _emit(m=args.m, count=len(found), homs=[h.to_json_dict() for h in found])
+
+
+def _cmd_ab(args: argparse.Namespace, params: Params) -> int:
+    image = homs.abelianize(parse_word(args.word, params))
+    return _emit(sigma_exponents=list(image.sigma_exponents), rho_parity=image.rho_parity)
+
+
+def _cmd_chi(args: argparse.Namespace, params: Params) -> int:
+    w = parse_word(args.word, params)
+    return _emit(t=args.t, parity=homs.color_parity(args.t, w))
+
+
+def _cmd_quot_eval(args: argparse.Namespace, params: Params) -> int:
+    elem = quotients.quotient_image(parse_word(args.word, params), args.d)
+    return _emit(
+        d=args.d,
+        vec=list(elem.vec),
+        perm=list(elem.perm.images),
+        cycles=elem.perm.cycle_string(),
     )
-    return 0
 
 
-def _cmd_ab(args: argparse.Namespace) -> int:
-    _, w = _parse(args, args.word)
-    image = homs.abelianize(w)
-    _emit(
-        {
-            "schema": 1,
-            "sigma_exponents": list(image.sigma_exponents),
-            "rho_parity": image.rho_parity,
-        }
-    )
-    return 0
-
-
-def _cmd_chi(args: argparse.Namespace) -> int:
-    _, w = _parse(args, args.word)
-    _emit({"schema": 1, "t": args.t, "parity": homs.color_parity(args.t, w)})
-    return 0
-
-
-def _cmd_quot_eval(args: argparse.Namespace) -> int:
-    _, w = _parse(args, args.word)
-    elem = quotients.quotient_image(w, args.d)
-    _emit(
-        {
-            "schema": 1,
-            "d": args.d,
-            "vec": list(elem.vec),
-            "perm": list(elem.perm.images),
-            "cycles": elem.perm.cycle_string(),
-        }
-    )
-    return 0
-
-
-def _cmd_quot_order(args: argparse.Namespace) -> int:
-    params = Params(args.n, args.c)
+def _cmd_quot_order(args: argparse.Namespace, params: Params) -> int:
     cert = quotients.quotient_order(params, args.d)
-    _emit(
-        {
-            "schema": 1,
-            "d": args.d,
-            "order": cert.order,
-            "n_factorial": cert.n_factorial,
-            "method": cert.method,
-            "closure_size": cert.closure_size,
-        }
+    return _emit(
+        d=args.d,
+        order=cert.order,
+        n_factorial=cert.n_factorial,
+        method=cert.method,
+        closure_size=cert.closure_size,
     )
-    return 0
 
 
-def _cmd_oracle_eq(args: argparse.Namespace) -> int:
-    params, u = _parse(args, args.left)
+def _cmd_oracle_eq(args: argparse.Namespace, params: Params) -> int:
+    u = parse_word(args.left, params)
     v = parse_word(args.right, params)
     result = oracle.bfs_equal(u, v, max_depth=args.depth, max_frontier=args.width)
-    _emit(
-        {
-            "schema": 1,
-            "verdict": result.verdict,
-            "path": None if result.path is None else [list(step) for step in result.path],
-            "explored": result.explored,
-        }
+    return _emit(
+        verdict=result.verdict,
+        path=None if result.path is None else [list(step) for step in result.path],
+        explored=result.explored,
     )
-    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, _params: None) -> int:
     results = verify.run_all(args.seed)
     ok = all(r.ok for r in results)
     _emit(
-        {
-            "schema": 1,
-            "seed": args.seed,
-            "ok": ok,
-            "results": [
-                {"claim": r.claim, "ok": r.ok, "details": r.details} for r in results
-            ],
-        }
+        seed=args.seed,
+        ok=ok,
+        results=[{"claim": r.claim, "ok": r.ok, "details": r.details} for r in results],
     )
     return 0 if ok else 1
 
 
-def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, help="number of strands")
-    p.add_argument("--c", type=int, default=1, help="number of crossing types")
+def _arg(name: str, **spec) -> tuple[str, dict]:
+    return name, spec
 
 
-def _add_word(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--word", required=True, help="word over r<i> / s<i>.<t> tokens")
+_PARAMS = (
+    _arg("--n", type=int, required=True, help="number of strands"),
+    _arg("--c", type=int, default=1, help="number of crossing types"),
+)
+_WORD = _arg("--word", required=True, help="word over r<i> / s<i>.<t> tokens")
+_PAIR = (_arg("left", help="first word"), _arg("right", help="second word"))
+
+# One row per command or mode: (command, mode, help, arguments, handler).
+# A row without mode or handler heads a command whose modes are the
+# sub-commands in the rows below it; ``graph`` instead takes its mode as
+# a positional argument, so it may follow the flags.
+_TABLE = (
+    ("nf", None, "canonical normal form of a word", (*_PARAMS, _WORD), _cmd_nf),
+    ("trivial", None, "test whether a word is the identity", (*_PARAMS, _WORD), _cmd_trivial),
+    (
+        "pure", None, "test whether a word has trivial strand permutation",
+        (*_PARAMS, _WORD), _cmd_pure,
+    ),
+    ("perm", None, "strand and virtual permutations of a word", (*_PARAMS, _WORD), _cmd_perm),
+    ("ab", None, "image in the abelianisation", (*_PARAMS, _WORD), _cmd_ab),
+    ("eq", None, "decide equality of two words", (*_PARAMS, *_PAIR), _cmd_eq),
+    (
+        "graph", None, "kernel commutation graph",
+        (_arg("mode", choices=["dot", "stats"]), *_PARAMS), _cmd_graph,
+    ),
+    ("vcd", None, "clique number of the commutation graph", _PARAMS, _cmd_vcd),
+    ("howson", None, "induced-path-freeness classification", _PARAMS, _cmd_howson),
+    (
+        "lerf-witness", None, "complete-bipartite obstruction witness",
+        _PARAMS, _cmd_lerf_witness,
+    ),
+    (
+        "center-witness", None, "dominating vertices and a non-commuting pair",
+        _PARAMS, _cmd_center_witness,
+    ),
+    ("hom", None, "homomorphisms to symmetric groups", (), None),
+    (
+        "hom", "check", "verify a homomorphism given as JSON",
+        (*_PARAMS, _arg("--file", default="-", help="JSON file, or - for stdin")),
+        _cmd_hom_check,
+    ),
+    (
+        "hom", "phi", "the switch-family homomorphism for a bit tuple",
+        (
+            *_PARAMS,
+            _arg("--eps", required=True, help="comma-separated bits, length c+1"),
+            _arg("--word", help="optional word to evaluate"),
+        ),
+        _cmd_hom_phi,
+    ),
+    (
+        "hom", "enumerate", "all homomorphisms to S_m",
+        (
+            *_PARAMS,
+            _arg("--m", type=int, required=True, help="target degree"),
+            _arg("--max-nodes", type=int, default=2_000_000),
+            _arg("--max-seconds", type=float, default=300.0),
+        ),
+        _cmd_hom_enumerate,
+    ),
+    (
+        "chi", None, "parity of one crossing colour",
+        (*_PARAMS, _arg("--t", type=int, required=True, help="colour index"), _WORD),
+        _cmd_chi,
+    ),
+    ("quot", None, "finite wreath-style quotients", (), None),
+    (
+        "quot", "eval", "image of a word in the quotient",
+        (
+            *_PARAMS,
+            _arg("--d", type=int, required=True, help="cyclic modulus (0 for integers)"),
+            _WORD,
+        ),
+        _cmd_quot_eval,
+    ),
+    (
+        "quot", "order", "order of the quotient with certificate",
+        (*_PARAMS, _arg("--d", type=int, required=True, help="cyclic modulus")),
+        _cmd_quot_order,
+    ),
+    ("oracle", None, "presentation-level rewriting prover", (), None),
+    (
+        "oracle", "eq", "search for a rewriting proof of equality",
+        (
+            *_PARAMS,
+            _arg("--depth", type=int, default=8, help="maximum proof length"),
+            _arg("--width", type=int, default=200_000, help="frontier size cap"),
+            *_PAIR,
+        ),
+        _cmd_oracle_eq,
+    ),
+    (
+        "verify-paper", None, "run the built-in claim verification suite",
+        (_arg("--seed", type=int, default=verify.DEFAULT_SEED),), _cmd_verify,
+    ),
+)
 
 
-def _add_pair(p: argparse.ArgumentParser) -> None:
-    p.add_argument("left", help="first word")
-    p.add_argument("right", help="second word")
-
-
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, list[str]]]:
+    """The argparse tree and every command's modes, both read off ``_TABLE``."""
     parser = argparse.ArgumentParser(prog="uvbraid", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-
-    for name, needs_word, help_text in (
-        ("nf", True, "canonical normal form of a word"),
-        ("trivial", True, "test whether a word is the identity"),
-        ("pure", True, "test whether a word has trivial strand permutation"),
-        ("perm", True, "strand and virtual permutations of a word"),
-        ("ab", True, "image in the abelianisation"),
-        ("eq", False, "decide equality of two words"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_params(p)
-        if needs_word:
-            _add_word(p)
+    commands = parser.add_subparsers(dest="command")
+    modes: dict[str, list[str]] = {}
+    sub_commands = {}
+    for command, mode, help_text, arguments, handler in _TABLE:
+        if mode is None:
+            p = commands.add_parser(command, help=help_text)
+            modes[command] = []
+            if handler is None:
+                sub_commands[command] = p.add_subparsers(dest="mode")
         else:
-            _add_pair(p)
-
-    p = sub.add_parser("graph", help="kernel commutation graph")
-    p.add_argument("mode", choices=["dot", "stats"])
-    _add_params(p)
-
-    for name, help_text in (
-        ("vcd", "clique number of the commutation graph"),
-        ("howson", "induced-path-freeness classification"),
-        ("lerf-witness", "complete-bipartite obstruction witness"),
-        ("center-witness", "dominating vertices and a non-commuting pair"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_params(p)
-
-    p = sub.add_parser("hom", help="homomorphisms to symmetric groups")
-    hom_sub = p.add_subparsers(dest="mode")
-    ph = hom_sub.add_parser("check", help="verify a homomorphism given as JSON")
-    _add_params(ph)
-    ph.add_argument("--file", default="-", help="JSON file, or - for stdin")
-    ph = hom_sub.add_parser("phi", help="the switch-family homomorphism for a bit tuple")
-    _add_params(ph)
-    ph.add_argument("--eps", required=True, help="comma-separated bits, length c+1")
-    ph.add_argument("--word", help="optional word to evaluate")
-    ph = hom_sub.add_parser("enumerate", help="all homomorphisms to S_m")
-    _add_params(ph)
-    ph.add_argument("--m", type=int, required=True, help="target degree")
-    ph.add_argument("--max-nodes", type=int, default=2_000_000)
-    ph.add_argument("--max-seconds", type=float, default=300.0)
-
-    p = sub.add_parser("chi", help="parity of one crossing colour")
-    _add_params(p)
-    p.add_argument("--t", type=int, required=True, help="colour index")
-    _add_word(p)
-
-    p = sub.add_parser("quot", help="finite wreath-style quotients")
-    quot_sub = p.add_subparsers(dest="mode")
-    pq = quot_sub.add_parser("eval", help="image of a word in the quotient")
-    _add_params(pq)
-    pq.add_argument("--d", type=int, required=True, help="cyclic modulus (0 for integers)")
-    _add_word(pq)
-    pq = quot_sub.add_parser("order", help="order of the quotient with certificate")
-    _add_params(pq)
-    pq.add_argument("--d", type=int, required=True, help="cyclic modulus")
-
-    p = sub.add_parser("oracle", help="presentation-level rewriting prover")
-    oracle_sub = p.add_subparsers(dest="mode")
-    po = oracle_sub.add_parser("eq", help="search for a rewriting proof of equality")
-    _add_params(po)
-    po.add_argument("--depth", type=int, default=8, help="maximum proof length")
-    po.add_argument("--width", type=int, default=200_000, help="frontier size cap")
-    _add_pair(po)
-
-    p = sub.add_parser("verify-paper", help="run the built-in claim verification suite")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-
-    return parser
-
-
-_HANDLERS = {
-    "nf": _cmd_nf,
-    "eq": _cmd_eq,
-    "trivial": _cmd_trivial,
-    "pure": _cmd_pure,
-    "perm": _cmd_perm,
-    ("graph", "dot"): _cmd_graph,
-    ("graph", "stats"): _cmd_graph,
-    "vcd": _cmd_vcd,
-    "howson": _cmd_howson,
-    "lerf-witness": _cmd_lerf_witness,
-    "center-witness": _cmd_center_witness,
-    ("hom", "check"): _cmd_hom_check,
-    ("hom", "phi"): _cmd_hom_phi,
-    ("hom", "enumerate"): _cmd_hom_enumerate,
-    "ab": _cmd_ab,
-    "chi": _cmd_chi,
-    ("quot", "eval"): _cmd_quot_eval,
-    ("quot", "order"): _cmd_quot_order,
-    ("oracle", "eq"): _cmd_oracle_eq,
-    "verify-paper": _cmd_verify,
-}
+            p = sub_commands[command].add_parser(mode, help=help_text)
+            modes[command].append(mode)
+        for name, spec in arguments:
+            p.add_argument(name, **spec)
+            if name == "mode":
+                modes[command] = spec["choices"]
+        p.set_defaults(handler=handler)
+    return parser, modes
 
 
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    parser, modes = _parser()
     if not argv or argv[0] in ("-h", "--help"):
-        _build_parser().print_help()
+        parser.print_help()
         return 0 if argv else 64
     command = argv[0]
-    if command not in COMMANDS:
+    if command not in modes:
         sys.stderr.write(f"unknown command: {command}\n")
         return 64
-    if command in MODES:
-        mode = next((tok for tok in argv[1:] if tok in MODES[command]), None)
-        if mode is None:
-            sys.stderr.write(
-                f"unknown mode for {command}: expected one of {', '.join(MODES[command])}\n"
-            )
-            return 64
+    if modes[command] and not any(tok in modes[command] for tok in argv[1:]):
+        sys.stderr.write(
+            f"unknown mode for {command}: expected one of {', '.join(modes[command])}\n"
+        )
+        return 64
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    key = (command, args.mode) if command in MODES else command
     try:
-        return _HANDLERS[key](args)
+        params = Params(args.n, args.c) if "n" in args else None
+        return args.handler(args, params)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -48,16 +48,20 @@ class HomSpec:
     image_sigma: tuple[tuple[Perm, ...], ...]
 
     def evaluate(self, w: Word) -> Perm:
-        out = identity(self.m)
+        out = list(range(1, self.m + 1))
         for letter in w:
-            if letter.kind == SIGMA:
-                img = self.image_sigma[letter.i - 1][letter.t - 1]
-                if letter.sign < 0:
-                    img = img.inverse()
+            if letter.kind != SIGMA:
+                img = self.image_rho[letter.i - 1].images
             else:
-                img = self.image_rho[letter.i - 1]
-            out = compose(out, img)
-        return out
+                img = self.image_sigma[letter.i - 1][letter.t - 1].images
+                if letter.sign < 0:
+                    # out * img^-1 sends img(y) to out(y)
+                    prev, out = out, [0] * self.m
+                    for y, img_y in enumerate(img, start=1):
+                        out[img_y - 1] = prev[y - 1]
+                    continue
+            out = [out[y - 1] for y in img]
+        return Perm(tuple(out))
 
     def generator_images(self) -> list[Perm]:
         return list(self.image_rho) + [img for col in self.image_sigma for img in col]
@@ -221,11 +225,24 @@ def enumerate_homs(
     if budget is None:
         budget = SearchBudget()
     n, c = params.n, params.c
-    sym = list(all_perms(m))
-    involutions = [p for p in sym if compose(p, p).is_identity]
+    if n == 1:
+        return [HomSpec(m, (), ())]
+    order = 1
+    for k in range(2, m + 1):
+        order *= k
+        if order > budget.max_nodes:
+            # all-identity virtual images admit every first crossing image,
+            # so the search would try all m! of them: refuse before building S_m
+            raise BudgetExceededError(f"node budget {budget.max_nodes} exceeded", [])
     found: list[HomSpec] = []
     nodes = 0
     started = time.monotonic()
+
+    def check_time() -> None:
+        if time.monotonic() - started > budget.max_seconds:
+            raise BudgetExceededError(
+                f"time budget {budget.max_seconds}s exceeded", sorted_homs(found)
+            )
 
     def spend() -> None:
         nonlocal nodes
@@ -234,10 +251,17 @@ def enumerate_homs(
             raise BudgetExceededError(
                 f"node budget {budget.max_nodes} exceeded", sorted_homs(found)
             )
-        if nodes % 256 == 0 and time.monotonic() - started > budget.max_seconds:
-            raise BudgetExceededError(
-                f"time budget {budget.max_seconds}s exceeded", sorted_homs(found)
-            )
+        if nodes % 256 == 0:
+            check_time()
+
+    sym: list[Perm] = []
+    involutions: list[Perm] = []
+    for p in all_perms(m):
+        if len(sym) % 256 == 0:
+            check_time()
+        sym.append(p)
+        if compose(p, p).is_identity:
+            involutions.append(p)
 
     rho_imgs: list[Perm] = []
     sigma_cols: list[list[Perm]] = []  # sigma_cols[t-1][i-1]
@@ -309,8 +333,6 @@ def enumerate_homs(
             assign_rho(k + 1)
             rho_imgs.pop()
 
-    if n == 1:
-        return [HomSpec(m, (), ())]
     assign_rho(0)
     return sorted_homs(found)
 

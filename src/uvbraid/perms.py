@@ -125,13 +125,21 @@ def all_perms(n: int) -> Iterator[Perm]:
         yield Perm(images)
 
 
+def _adjacent_product(n: int, indices: Iterable[int]) -> Perm:
+    """The product (i1 i1+1)(i2 i2+1)... of adjacent transpositions.
+
+    Multiplying p on the right by (i i+1) swaps p(i) and p(i+1), so the
+    fold swaps two entries of one image list per index.
+    """
+    images = list(range(1, n + 1))
+    for i in indices:
+        images[i - 1], images[i] = images[i], images[i - 1]
+    return Perm(tuple(images))
+
+
 def strand_permutation(w: Word) -> Perm:
     """Image of a word when every letter acts as its adjacent transposition."""
-    n = w.params.n
-    p = identity(n)
-    for letter in w:
-        p = compose(p, adjacent(n, letter.i))
-    return p
+    return _adjacent_product(w.params.n, (letter.i for letter in w))
 
 
 def virtual_permutation(w: Word) -> Perm:
@@ -140,12 +148,7 @@ def virtual_permutation(w: Word) -> Perm:
     >>> virtual_permutation(Word(Params(3, 1), (rho(1), rho(1)))).is_identity
     True
     """
-    n = w.params.n
-    p = identity(n)
-    for letter in w:
-        if letter.is_rho:
-            p = compose(p, adjacent(n, letter.i))
-    return p
+    return _adjacent_product(w.params.n, (letter.i for letter in w if letter.is_rho))
 
 
 def rho_word(p: Perm, params: Params) -> Word:

@@ -35,11 +35,33 @@ class CheckResult:
     details: str
 
 
+CHECKS: list[tuple[str, Callable[[int], CheckResult]]] = []
+
+
+def _claim(name: str):
+    """Register a check as the claim ``name`` in ``CHECKS``.
+
+    The check returns its failures and the details to report when there
+    are none; the claim holds exactly when the failure list is empty.
+    """
+
+    def register(check: Callable[[int], tuple[list[str], str]]) -> Callable[[int], CheckResult]:
+        def run(seed: int) -> CheckResult:
+            bad, details = check(seed)
+            return CheckResult(name, not bad, "; ".join(bad[:5]) if bad else details)
+
+        CHECKS.append((name, run))
+        return run
+
+    return register
+
+
 def _seeded(seed: int, claim: str) -> Random:
     return Random(f"{seed}:{claim}")
 
 
-def check_relator_triviality(seed: int) -> CheckResult:
+@_claim("relator-triviality")
+def check_relator_triviality(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     count = 0
     for n in range(2, 9):
@@ -49,14 +71,11 @@ def check_relator_triviality(seed: int) -> CheckResult:
                 count += 1
                 if not semidirect.is_trivial(w):
                     bad.append(f"n={n} c={c} {label}")
-    ok = not bad
-    details = f"{count} relator instances trivial over n=2..8, c=1..3"
-    if bad:
-        details = f"non-trivial relators: {bad[:5]}"
-    return CheckResult("relator-triviality", ok, details)
+    return bad, f"{count} relator instances trivial over n=2..8, c=1..3"
 
 
-def check_clique_number(seed: int) -> CheckResult:
+@_claim("vcd-clique-number")
+def check_clique_number(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     for n in range(2, 9):
         for c in range(1, 4):
@@ -64,14 +83,11 @@ def check_clique_number(seed: int) -> CheckResult:
             got = raag.clique_number(g)
             if got != n // 2:
                 bad.append(f"n={n} c={c}: clique {got} != {n // 2}")
-    ok = not bad
-    details = "branch-and-bound clique number matches floor(n/2) for n=2..8, c=1..3"
-    if bad:
-        details = "; ".join(bad)
-    return CheckResult("vcd-clique-number", ok, details)
+    return bad, "branch-and-bound clique number matches floor(n/2) for n=2..8, c=1..3"
 
 
-def check_p3_classification(seed: int) -> CheckResult:
+@_claim("howson-p3-classification")
+def check_p3_classification(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     for n in range(2, 9):
         for c in range(1, 4):
@@ -87,14 +103,11 @@ def check_p3_classification(seed: int) -> CheckResult:
                     and not g.adjacent(v1, v3)
                 ):
                     bad.append(f"n={n} c={c}: invalid witness {witness}")
-    ok = not bad
-    details = "induced-path freeness iff n<=3, witnesses valid, n=2..8, c=1..3"
-    if bad:
-        details = "; ".join(bad)
-    return CheckResult("howson-p3-classification", ok, details)
+    return bad, "induced-path freeness iff n<=3, witnesses valid, n=2..8, c=1..3"
 
 
-def check_f2xf2(seed: int) -> CheckResult:
+@_claim("lerf-f2xf2-obstruction")
+def check_f2xf2(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     for n in range(2, 9):
         for c in range(1, 4):
@@ -114,14 +127,11 @@ def check_f2xf2(seed: int) -> CheckResult:
                 )
                 if not pattern:
                     bad.append(f"n={n} c={c}: bad pattern {witness}")
-    ok = not bad
-    details = "F2xF2 witness exists iff n>=4 with full join pattern, n=2..8, c=1..3"
-    if bad:
-        details = "; ".join(bad)
-    return CheckResult("lerf-f2xf2-obstruction", ok, details)
+    return bad, "F2xF2 witness exists iff n>=4 with full join pattern, n=2..8, c=1..3"
 
 
-def check_small_kernels_free(seed: int) -> CheckResult:
+@_claim("free-kernel-small-n")
+def check_small_kernels_free(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     for c in range(1, 6):
         g2 = build_graph(Params(2, c))
@@ -130,14 +140,11 @@ def check_small_kernels_free(seed: int) -> CheckResult:
             bad.append(f"n=2 c={c}: {len(g2.verts)} verts {g2.edge_count()} edges")
         if len(g3.verts) != 6 * c or g3.edge_count() != 0:
             bad.append(f"n=3 c={c}: {len(g3.verts)} verts {g3.edge_count()} edges")
-    ok = not bad
-    details = "kernel graphs edgeless with 2c and 6c vertices for c=1..5"
-    if bad:
-        details = "; ".join(bad)
-    return CheckResult("free-kernel-small-n", ok, details)
+    return bad, "kernel graphs edgeless with 2c and 6c vertices for c=1..5"
 
 
-def check_conjugation_action(seed: int) -> CheckResult:
+@_claim("conjugation-reindexing")
+def check_conjugation_action(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     count = 0
     for n in (2, 3, 4):
@@ -155,7 +162,6 @@ def check_conjugation_action(seed: int) -> CheckResult:
                         bad.append(f"n={n} c={c} p={p.images} d={d.token()}")
     proven = 0
     checked = 0
-    oracle_bad: list[str] = []
     params = Params(4, 1)
     g = build_graph(params)
     for k in (1, 2, 3):
@@ -170,20 +176,19 @@ def check_conjugation_action(seed: int) -> CheckResult:
             if result.proven:
                 proven += 1
                 if len(oracle.replay(lhs, rhs, result.path)) != 0:
-                    oracle_bad.append(f"replay failed for p=s{k} d={d.token()}")
+                    bad.append(f"replay failed for p=s{k} d={d.token()}")
                 if not semidirect.are_equal(lhs, rhs):
-                    oracle_bad.append(f"prover disagrees with engine at p=s{k} d={d.token()}")
-    ok = not bad and not oracle_bad and proven >= 10
-    details = (
+                    bad.append(f"prover disagrees with engine at p=s{k} d={d.token()}")
+    if proven < 10:
+        bad.append(f"only {proven}/{checked} instances proven")
+    return bad, (
         f"{count} conjugation instances equal; prover confirmed {proven}/{checked}"
         " single-transposition instances independently"
     )
-    if bad or oracle_bad or proven < 10:
-        details = f"failures: {bad[:3] + oracle_bad[:3]}, proven={proven}"
-    return CheckResult("conjugation-reindexing", ok, details)
 
 
-def check_factorisation_soundness(seed: int) -> CheckResult:
+@_claim("factorisation-soundness")
+def check_factorisation_soundness(seed: int) -> tuple[list[str], str]:
     rng = _seeded(seed, "factorisation")
     bad: list[str] = []
     count = 0
@@ -201,11 +206,7 @@ def check_factorisation_soundness(seed: int) -> CheckResult:
                     bad.append(f"n={n} c={c}: {w}")
                 if len(bad) > 3:
                     break
-    ok = not bad
-    details = f"{count} random words of length <= 30 re-assemble from their normal forms"
-    if bad:
-        details = f"failures: {bad[:3]}"
-    return CheckResult("factorisation-soundness", ok, details)
+    return bad, f"{count} random words of length <= 30 re-assemble from their normal forms"
 
 
 def _virtual_pair_identity_word(params: Params) -> Word:
@@ -221,7 +222,8 @@ def _crossing_commutator_word(params: Params, i: int, t: int) -> Word:
     return commutator(x, y) * target.inverse()
 
 
-def check_commutator_identities(seed: int) -> CheckResult:
+@_claim("commutator-identities")
+def check_commutator_identities(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     count = 0
     for n in (4, 5, 6):
@@ -235,11 +237,7 @@ def check_commutator_identities(seed: int) -> CheckResult:
                     count += 1
                     if not semidirect.is_trivial(_crossing_commutator_word(params, i, t)):
                         bad.append(f"crossing commutator fails n={n} c={c} i={i} t={t}")
-    ok = not bad
-    details = f"{count} commutator identities trivial for n=4..6"
-    if bad:
-        details = "; ".join(bad[:5])
-    return CheckResult("commutator-identities", ok, details)
+    return bad, f"{count} commutator identities trivial for n=4..6"
 
 
 def _all_bits(c: int):
@@ -247,7 +245,8 @@ def _all_bits(c: int):
         yield tuple((k >> b) & 1 for b in range(c + 1))
 
 
-def check_admissibility(seed: int) -> CheckResult:
+@_claim("admissibility")
+def check_admissibility(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     for n in range(3, 8):
         for c in range(1, 4):
@@ -264,17 +263,14 @@ def check_admissibility(seed: int) -> CheckResult:
                 admissible += got
             if admissible != 2**c:
                 bad.append(f"n={n} c={c}: {admissible} admissible tuples != {2 ** c}")
-    ok = not bad
-    details = (
+    return bad, (
         "switched-on-virtual tuples are homomorphisms; admissible iff virtual bit set,"
         " exactly 2^c per (n, c), n=3..7, c=1..3"
     )
-    if bad:
-        details = "; ".join(bad[:5])
-    return CheckResult("admissibility", ok, details)
 
 
-def check_abelianisation(seed: int) -> CheckResult:
+@_claim("abelianisation-parity")
+def check_abelianisation(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     zero_count = 0
     for n in range(2, 9):
@@ -289,14 +285,13 @@ def check_abelianisation(seed: int) -> CheckResult:
                 for t in range(1, c + 1):
                     if homs.color_parity(t, word(params, sigma(i, t), rho(i))) != 1:
                         bad.append(f"n={n} c={c} parity of s{i}.{t} r{i} != 1")
-    ok = not bad
-    details = f"{zero_count} relators abelianise to zero; colour parity detects single crossings"
-    if bad:
-        details = "; ".join(bad[:5])
-    return CheckResult("abelianisation-parity", ok, details)
+    return bad, (
+        f"{zero_count} relators abelianise to zero; colour parity detects single crossings"
+    )
 
 
-def check_small_target_rigidity(seed: int) -> CheckResult:
+@_claim("small-target-rigidity")
+def check_small_target_rigidity(seed: int) -> tuple[list[str], str]:
     params = Params(5, 1)
     budget = homs.SearchBudget(max_nodes=5_000_000, max_seconds=300.0)
     bad: list[str] = []
@@ -307,17 +302,14 @@ def check_small_target_rigidity(seed: int) -> CheckResult:
         for h in found:
             if not homs.has_abelian_image(h):
                 bad.append(f"m={m}: non-abelian image {h.to_json_dict()}")
-    ok = not bad
-    details = (
+    return bad, (
         f"all homomorphisms to S_2 ({counts[2]}) and S_3 ({counts[3]})"
         " from n=5 have abelian image"
     )
-    if bad:
-        details = "; ".join(bad[:3])
-    return CheckResult("small-target-rigidity", ok, details)
 
 
-def check_finite_quotients(seed: int) -> CheckResult:
+@_claim("finite-quotients")
+def check_finite_quotients(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     count = 0
     for n in range(2, 8):
@@ -334,17 +326,14 @@ def check_finite_quotients(seed: int) -> CheckResult:
         bad.append(f"order certificate wrong: {cert}")
     if cert.method != "closure" or cert.closure_size != 480:
         bad.append(f"no closure certificate at (5,2,2): {cert}")
-    ok = not bad
-    details = (
+    return bad, (
         f"{count} relators die in (Z/d)^c x S_n for d=2,3, n=2..7, c=1..3;"
         f" order at n=5, c=2, d=2 is {cert.order} > 120 by closure"
     )
-    if bad:
-        details = "; ".join(bad[:5])
-    return CheckResult("finite-quotients", ok, details)
 
 
-def check_trivial_centre(seed: int) -> CheckResult:
+@_claim("trivial-centre")
+def check_trivial_centre(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     for n in range(2, 9):
         for c in range(1, 4):
@@ -357,14 +346,11 @@ def check_trivial_centre(seed: int) -> CheckResult:
         v = word(params, sigma(1, 1), rho(1))
         if semidirect.are_equal(u, v):
             bad.append(f"n={n}: r1 and s1.1 commute")
-    ok = not bad
-    details = "no dominating vertices (n=2..8, c=1..3); r1 s1.1 != s1.1 r1 for n=3..6"
-    if bad:
-        details = "; ".join(bad)
-    return CheckResult("trivial-centre", ok, details)
+    return bad, "no dominating vertices (n=2..8, c=1..3); r1 s1.1 != s1.1 r1 for n=3..6"
 
 
-def check_section_identity(seed: int) -> CheckResult:
+@_claim("section-identity")
+def check_section_identity(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     count = 0
     for n in range(1, 7):
@@ -373,14 +359,13 @@ def check_section_identity(seed: int) -> CheckResult:
             count += 1
             if virtual_permutation(rho_word(p, params)) != p:
                 bad.append(f"n={n} p={p.images}")
-    ok = not bad
-    details = f"virtual projection of the section is the identity on {count} permutations, n<=6"
-    if bad:
-        details = "; ".join(bad[:5])
-    return CheckResult("section-identity", ok, details)
+    return bad, (
+        f"virtual projection of the section is the identity on {count} permutations, n<=6"
+    )
 
 
-def check_oracle_coherence(seed: int) -> CheckResult:
+@_claim("oracle-coherence")
+def check_oracle_coherence(seed: int) -> tuple[list[str], str]:
     rng = _seeded(seed, "oracle")
     params = Params(4, 1)
     disagreements: list[str] = []
@@ -395,33 +380,10 @@ def check_oracle_coherence(seed: int) -> CheckResult:
                 disagreements.append(f"{u} vs {v}")
             if len(oracle.replay(u, v, result.path)) != 0:
                 disagreements.append(f"replay failed: {u} vs {v}")
-    ok = not disagreements
-    details = (
+    return disagreements, (
         f"500 random pairs, {proven} proven equal by the raw-presentation prover,"
         " zero disagreements with the normal-form engine"
     )
-    if disagreements:
-        details = f"disagreements: {disagreements[:3]}"
-    return CheckResult("oracle-coherence", ok, details)
-
-
-CHECKS: list[tuple[str, Callable[[int], CheckResult]]] = [
-    ("relator-triviality", check_relator_triviality),
-    ("vcd-clique-number", check_clique_number),
-    ("howson-p3-classification", check_p3_classification),
-    ("lerf-f2xf2-obstruction", check_f2xf2),
-    ("free-kernel-small-n", check_small_kernels_free),
-    ("conjugation-reindexing", check_conjugation_action),
-    ("factorisation-soundness", check_factorisation_soundness),
-    ("commutator-identities", check_commutator_identities),
-    ("admissibility", check_admissibility),
-    ("abelianisation-parity", check_abelianisation),
-    ("small-target-rigidity", check_small_target_rigidity),
-    ("finite-quotients", check_finite_quotients),
-    ("trivial-centre", check_trivial_centre),
-    ("section-identity", check_section_identity),
-    ("oracle-coherence", check_oracle_coherence),
-]
 
 
 def run_check(claim: str, seed: int = DEFAULT_SEED) -> CheckResult:

@@ -211,3 +211,28 @@ def test_single_strand_has_one_hom():
     found = enumerate_homs(Params(1, 1), 3, SearchBudget())
     assert len(found) == 1
     assert found[0].image_rho == ()
+
+
+def test_enumerate_homs_budget_covers_building_the_target(monkeypatch):
+    import uvbraid.homs
+
+    produced = 0
+    real_all_perms = uvbraid.homs.all_perms
+
+    def counting_all_perms(m):
+        nonlocal produced
+        for p in real_all_perms(m):
+            produced += 1
+            yield p
+
+    monkeypatch.setattr(uvbraid.homs, "all_perms", counting_all_perms)
+    max_nodes = 10
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_homs(Params(3, 1), 8, SearchBudget(max_nodes=max_nodes, max_seconds=60.0))
+    assert produced <= max_nodes
+    assert all(verify_homspec(h, Params(3, 1))[0] for h in err.value.partial)
+    # within the node budget, an exhausted time budget stops building S_8
+    produced = 0
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        enumerate_homs(Params(3, 1), 8, SearchBudget(max_seconds=-1.0))
+    assert produced <= 256

@@ -135,3 +135,55 @@ def test_rho_word_length_is_inversion_count():
             if p(i) > p(j)
         )
         assert len(rho_word(p, params).letters) == inversions
+
+
+# The fold every projection used before the in-place swap: one validated
+# Perm per letter, multiplied on the right with ``compose``.
+def compose_strand_permutation(w):
+    p = identity(w.params.n)
+    for letter in w:
+        p = compose(p, adjacent(w.params.n, letter.i))
+    return p
+
+
+def compose_virtual_permutation(w):
+    p = identity(w.params.n)
+    for letter in w:
+        if letter.is_rho:
+            p = compose(p, adjacent(w.params.n, letter.i))
+    return p
+
+
+def compose_evaluate(h, w):
+    out = identity(h.m)
+    for letter in w:
+        if letter.is_rho:
+            img = h.image_rho[letter.i - 1]
+        else:
+            img = h.image_sigma[letter.i - 1][letter.t - 1]
+            if letter.sign < 0:
+                img = img.inverse()
+        out = compose(out, img)
+    return out
+
+
+def test_swap_folds_agree_with_compose_fold():
+    from uvbraid import HomSpec, random_word
+
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        params = Params(rng.randint(1, 7), rng.randint(1, 3))
+        w = random_word(params, rng, 40)
+        assert strand_permutation(w) == compose_strand_permutation(w)
+        assert virtual_permutation(w) == compose_virtual_permutation(w)
+        m = rng.randint(1, 5)
+        perms = list(all_perms(m))
+        h = HomSpec(
+            m,
+            tuple(rng.choice(perms) for _ in range(params.n - 1)),
+            tuple(
+                tuple(rng.choice(perms) for _ in range(params.c))
+                for _ in range(params.n - 1)
+            ),
+        )
+        assert h.evaluate(w) == compose_evaluate(h, w)
