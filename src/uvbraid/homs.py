@@ -304,6 +304,7 @@ def enumerate_homs(
                 tuple(sigma_cols[t][i] for t in range(c)) for i in range(n - 1)
             )
             h = HomSpec(m, tuple(rho_imgs), image_sigma)
+            check_time()
             ok, _ = verify_homspec(h, params)
             if ok:
                 found.append(h)

@@ -9,18 +9,22 @@ crossing exponent sums of the abelianisation.
 For d >= 2 the image is the whole group of order d^c * n!, strictly
 larger than n!, so UV(n, c) has finite quotients bigger than the
 symmetric group.  ``quotient_order`` certifies surjectivity either by
-closing the generator images under multiplication (small groups) or by
+closing the generator images under multiplication (small groups; a
+breadth-first walk over flat (vector code, image tuple) pairs) or by
 exhibiting the vector units and virtual transpositions inside the
 image (any size).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .perms import Perm, adjacent, compose, identity
-from .words import SIGMA, Letter, Params, Word, alphabet
+from .words import SIGMA, Letter, Params, Word, alphabet, rho, sigma, word
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,6 +80,32 @@ def quotient_image(w: Word, d: int) -> QuotElem:
     return out
 
 
+def _closure(params: Params, d: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The elements reached from the identity by right multiplication with
+    the generator images, breadth first, as (vector code, image tuple).
+
+    The code is the vector's index in ``itertools.product(range(d), repeat=c)``.
+    A generator acts by a shift table over the codes and an ``itemgetter``
+    composing with its transposition; equal images (s, S at d = 2) count once.
+    """
+    vecs = list(itertools.product(range(d), repeat=params.c))
+    index = {vec: k for k, vec in enumerate(vecs)}
+    gens = {}
+    for letter in alphabet(params):
+        img = _letter_image(letter, params, d)
+        shift = tuple(index[tuple((x + y) % d for x, y in zip(vec, img.vec))] for vec in vecs)
+        gens[shift, img.perm.images] = shift, itemgetter(*(y - 1 for y in img.perm.images))
+    reached = [(0, identity(params.n).images)]
+    seen = set(reached)
+    for code, perm in reached:  # the list grows while it is walked
+        for shift, swap in gens.values():
+            prod = shift[code], swap(perm)
+            if prod not in seen:
+                seen.add(prod)
+                reached.append(prod)
+    return reached
+
+
 @dataclass(frozen=True)
 class OrderCertificate:
     order: int
@@ -98,33 +128,13 @@ def quotient_order(params: Params, d: int, closure_limit: int = 20_000) -> Order
         raise ValueError(f"finite quotients need d >= 2, got {d}")
     if params.n < 2:
         raise ValueError(f"quotient order needs n >= 2, got n={params.n}")
-    n_fact = 1
-    for k in range(2, params.n + 1):
-        n_fact *= k
+    n_fact = math.factorial(params.n)
     order = d**params.c * n_fact
-    gens = [
-        _letter_image(letter, params, d)
-        for letter in alphabet(params)
-    ]
     if order <= closure_limit:
-        frontier = [quotient_identity(params, d)]
-        seen = set(frontier)
-        while frontier:
-            nxt = []
-            for elem in frontier:
-                for g in gens:
-                    prod = qmul(elem, g)
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        if len(seen) != order:
-            raise RuntimeError(
-                f"closure reached {len(seen)} elements, expected {order}"
-            )
-        return OrderCertificate(order, n_fact, "closure", len(seen))
-    from .words import rho, sigma, word
-
+        size = len(_closure(params, d))
+        if size != order:
+            raise RuntimeError(f"closure reached {size} elements, expected {order}")
+        return OrderCertificate(order, n_fact, "closure", size)
     for t in range(1, params.c + 1):
         unit = qmul(
             quotient_image(word(params, sigma(1, t)), d),

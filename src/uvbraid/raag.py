@@ -17,11 +17,12 @@ inverse letter.  Reading back the smallest piece (in lexicographic
 yields a canonical fully-cancelled word: two words are equal in the
 group iff their normal forms are equal letter for letter.
 
-The graph (``CommGraph``) is built only for the certificates used
-elsewhere: an exact branch-and-bound maximum clique (for cohomological
-dimension), induced path detection (Howson property), a pair of joined
-non-edges spanning F2 x F2 (an obstruction to subgroup separability),
-and dominating vertices (central generators).
+The graph (``CommGraph``, at most ``MAX_VERTICES`` vertices) is built
+only for the certificates used elsewhere: the clique number floor(n/2)
+with a matching certificate (for cohomological dimension), induced path
+detection (Howson property), a pair of joined non-edges spanning
+F2 x F2 (an obstruction to subgroup separability), and dominating
+vertices (central generators).
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from typing import Iterator, Optional
 from .words import Params
 
 Vertex = tuple[int, int, int]
+
+# CommGraph refuses more vertices than this; its adjacency masks take V^2 bits.
+MAX_VERTICES = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,8 +126,10 @@ class CommGraph:
     def __init__(self, params: Params):
         if params.n < 2:
             raise ValueError(f"commutation graph needs n >= 2, got n={params.n}")
-        self.params = params
         n, c = params.n, params.c
+        if n * (n - 1) * c > MAX_VERTICES:
+            raise ValueError(f"graph needs n(n-1)c <= {MAX_VERTICES} vertices, got n={n}, c={c}")
+        self.params = params
         self.verts: tuple[Vertex, ...] = tuple(
             (i, j, t)
             for i in range(1, n + 1)
@@ -207,78 +213,43 @@ def normal_form(w: KWord) -> KWord:
     return KWord(w.params, tuple(out))
 
 
-def _max_clique_ids(g: CommGraph) -> list[int]:
-    """Exact maximum clique via branch and bound with greedy colouring bounds."""
-    adj = g.adj
-    best: list[int] = []
-    stack: list[int] = []
-
-    def expand(candidates: int) -> None:
-        nonlocal best
-        order: list[int] = []
-        bounds: list[int] = []
-        uncoloured = candidates
-        colour = 0
-        while uncoloured:
-            colour += 1
-            avail = uncoloured
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                bit = 1 << v
-                avail &= ~adj[v] & ~bit
-                uncoloured &= ~bit
-                order.append(v)
-                bounds.append(colour)
-        remaining = candidates
-        for idx in range(len(order) - 1, -1, -1):
-            if len(stack) + bounds[idx] <= len(best):
-                return
-            v = order[idx]
-            stack.append(v)
-            rest = remaining & adj[v]
-            if rest:
-                expand(rest)
-            elif len(stack) > len(best):
-                best = stack.copy()
-            stack.pop()
-            remaining &= ~(1 << v)
-
-    expand((1 << len(g.verts)) - 1)
-    return sorted(best)
-
-
 def max_clique(g: CommGraph) -> tuple[Vertex, ...]:
-    return tuple(g.verts[i] for i in _max_clique_ids(g))
+    """A maximum clique: the matching (1,2,1), (3,4,1), ..., (2k-1,2k,1), k = floor(n/2).
+
+    Adjacent letters have disjoint strand pairs, so a clique is a set of
+    pairwise strand-disjoint pairs; each takes up two of the n strands, so
+    by pigeonhole a clique has at most floor(n/2) members, and the matching
+    has that many.  Each pair of the witness is checked against ``g.adj``.
+    """
+    ids = [g.index[(i, i + 1, 1)] for i in range(1, g.params.n, 2)]
+    if not all((g.adj[a] >> b) & 1 for a in ids for b in ids if a != b):
+        raise RuntimeError("matching witness is not a clique")
+    return tuple(g.verts[a] for a in ids)
 
 
 def clique_number(g: CommGraph) -> int:
-    return len(_max_clique_ids(g))
+    return len(max_clique(g))
 
 
 P3Witness = tuple[Vertex, Vertex, Vertex]
 
 
 def is_p3_free(g: CommGraph) -> tuple[bool, Optional[P3Witness]]:
-    """Whether no induced path on three vertices exists.
+    """Whether no induced path on three vertices exists, with a witness if not.
 
     A witness (v1, v2, v3) has v2 adjacent to both ends, which are not
-    adjacent to each other.
+    adjacent to each other.  For n <= 3 any two strand pairs meet, so the
+    graph is edgeless.  For n >= 4 it runs from (3,4,1) through (1,2,1)
+    to the next neighbour of (1,2,1) in vertex order, again on strand 3.
     """
-    size = len(g.verts)
-    for mid in range(size):
-        nb_mask = g.adj[mid]
-        nbs = []
-        m = nb_mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            nbs.append(v)
-            m &= m - 1
-        for x in range(len(nbs)):
-            for y in range(x + 1, len(nbs)):
-                a, b = nbs[x], nbs[y]
-                if not (g.adj[a] >> b) & 1:
-                    return False, (g.verts[a], g.verts[mid], g.verts[b])
-    return True, None
+    n, c = g.params.n, g.params.c
+    if n < 4:
+        return True, None
+    end = (3, 4, 2) if c > 1 else (3, 5, 1) if n > 4 else (4, 3, 1)
+    v1, v2, v3 = path = ((3, 4, 1), (1, 2, 1), end)
+    if not (g.adjacent(v1, v2) and g.adjacent(v2, v3)) or g.adjacent(v1, v3):
+        raise RuntimeError("induced path witness adjacency pattern failed")
+    return False, path
 
 
 F2F2Witness = tuple[Vertex, Vertex, Vertex, Vertex]
@@ -292,28 +263,17 @@ def f2xf2_witness(g: CommGraph) -> Optional[F2F2Witness]:
     """
     if g.params.n < 4:
         return None
-    quad: F2F2Witness = ((1, 2, 1), (2, 1, 1), (3, 4, 1), (4, 3, 1))
-    x1, x2, y1, y2 = quad
-    ok = (
-        not g.adjacent(x1, x2)
-        and not g.adjacent(y1, y2)
-        and g.adjacent(x1, y1)
-        and g.adjacent(x1, y2)
-        and g.adjacent(x2, y1)
-        and g.adjacent(x2, y2)
-    )
-    if not ok:
+    x1, x2, y1, y2 = quad = ((1, 2, 1), (2, 1, 1), (3, 4, 1), (4, 3, 1))
+    joined = all(g.adjacent(x, y) for x in (x1, x2) for y in (y1, y2))
+    if not joined or g.adjacent(x1, x2) or g.adjacent(y1, y2):
         raise RuntimeError("F2 x F2 witness adjacency pattern failed")
     return quad
 
 
 def dominating_vertices(g: CommGraph) -> tuple[Vertex, ...]:
     """Vertices adjacent to every other vertex (always empty here)."""
-    size = len(g.verts)
-    full = (1 << size) - 1
-    return tuple(
-        g.verts[v] for v in range(size) if g.adj[v] == full & ~(1 << v)
-    )
+    full = (1 << len(g.verts)) - 1
+    return tuple(v for k, v in enumerate(g.verts) if g.adj[k] == full & ~(1 << k))
 
 
 def to_dot(g: CommGraph) -> str:

@@ -52,6 +52,17 @@ def test_bad_params_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["vcd"], ["howson"], ["lerf-witness"], ["center-witness"], ["graph", "stats"], ["graph", "dot"]],
+)
+def test_graph_commands_refuse_large_inputs(capsys, argv):
+    assert run(argv + ["--n", "300", "--c", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: graph needs n(n-1)c <= 10000 vertices, got n=300, c=3\n"
+
+
 def test_non_ascii_digit_exits_2_with_token_position(capsys):
     assert run(["nf", "--n", "3", "--c", "1", "--word", "r1 r\u00b2"]) == 2
     captured = capsys.readouterr()

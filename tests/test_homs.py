@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -236,3 +237,26 @@ def test_enumerate_homs_budget_covers_building_the_target(monkeypatch):
     with pytest.raises(BudgetExceededError, match="time budget"):
         enumerate_homs(Params(3, 1), 8, SearchBudget(max_seconds=-1.0))
     assert produced <= 256
+
+
+def test_enumerate_homs_checks_time_before_each_full_assignment(monkeypatch):
+    import uvbraid.homs
+
+    # a fake clock that only advances while a full assignment is verified
+    now = 0.0
+    calls = 0
+    real_verify = uvbraid.homs.verify_homspec
+
+    def slow_verify(h, params):
+        nonlocal now, calls
+        calls += 1
+        now += 1.0
+        return real_verify(h, params)
+
+    monkeypatch.setattr(uvbraid.homs, "time", SimpleNamespace(monotonic=lambda: now))
+    monkeypatch.setattr(uvbraid.homs, "verify_homspec", slow_verify)
+    p = Params(6, 6)
+    with pytest.raises(BudgetExceededError, match="time budget") as err:
+        enumerate_homs(p, 3, SearchBudget(max_seconds=2.5))
+    assert calls <= 3
+    assert all(real_verify(h, p)[0] for h in err.value.partial)

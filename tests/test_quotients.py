@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from uvbraid import (
     OrderCertificate,
     Params,
     QuotElem,
+    Word,
     abelianize,
     parse_word,
     quotient_image,
@@ -13,7 +15,8 @@ from uvbraid import (
     random_word,
     relator_words,
 )
-from uvbraid.quotients import qinv, qmul, quotient_identity
+from uvbraid.quotients import _closure, qinv, qmul, quotient_identity
+from uvbraid.words import alphabet
 
 
 def test_identity_element():
@@ -99,6 +102,33 @@ def test_quotient_order_closure_certificate():
     cert = quotient_order(Params(5, 2), 2)
     assert cert == OrderCertificate(480, 120, "closure", 480)
     assert cert.order > cert.n_factorial
+
+
+def reference_closure(params, d):
+    """Breadth-first closure of the generator images under ``qmul``."""
+    gens = [quotient_image(Word(params, (letter,)), d) for letter in alphabet(params)]
+    reached = [quotient_identity(params, d)]
+    seen = set(reached)
+    for elem in reached:
+        for g in gens:
+            prod = qmul(elem, g)
+            if prod not in seen:
+                seen.add(prod)
+                reached.append(prod)
+    return reached
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("c", (1, 2))
+@pytest.mark.parametrize("d", (2, 3))
+def test_flat_closure_matches_qmul_closure(n, c, d):
+    params = Params(n, c)
+    vecs = list(itertools.product(range(d), repeat=c))
+    flat = [(vecs[code], perm) for code, perm in _closure(params, d)]
+    reference = [(elem.vec, elem.perm.images) for elem in reference_closure(params, d)]
+    assert set(flat) == set(reference)
+    # the same breadth-first order too, which pins each generator's sign
+    assert flat == reference
 
 
 def test_quotient_order_units_certificate():

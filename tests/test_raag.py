@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from uvbraid import (
     parse_kword,
     to_dot,
 )
+from uvbraid.raag import MAX_VERTICES
+from uvbraid.verify import _max_clique_ids
 
 
 def vertices_commute(u, v):
@@ -163,6 +166,47 @@ def test_free_cases_degenerate_to_free_reduction():
 @pytest.mark.parametrize("c", (1, 2, 3))
 def test_clique_number_formula(n, c):
     assert clique_number(build_graph(Params(n, c))) == n // 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("c", (1, 2, 3))
+def test_branch_and_bound_matches_matching_witness(n, c):
+    g = build_graph(Params(n, c))
+    assert len(_max_clique_ids(g)) == len(max_clique(g))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_max_clique_is_strand_disjoint(n):
+    clique = max_clique(build_graph(Params(n, 2)))
+    assert len(clique) == n // 2
+    for u, v in itertools.combinations(clique, 2):
+        assert vertices_commute(u, v)
+
+
+def test_clique_number_beyond_search_reach():
+    assert clique_number(build_graph(Params(40, 2))) == 20
+
+
+def test_graph_size_limit():
+    assert len(CommGraph(Params(5, MAX_VERTICES // 20)).verts) == MAX_VERTICES
+    with pytest.raises(ValueError, match=r"n\(n-1\)c <= 10000 vertices, got n=5, c=501"):
+        CommGraph(Params(5, MAX_VERTICES // 20 + 1))
+    with pytest.raises(ValueError):
+        build_graph(Params(300, 3))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("c", (1, 2, 3))
+def test_p3_witness_is_the_first_in_vertex_order(n, c):
+    g = build_graph(Params(n, c))
+    scan = (
+        (a, mid, b)
+        for mid in g.verts
+        for a, b in itertools.combinations([v for v in g.verts if vertices_commute(mid, v)], 2)
+        if not vertices_commute(a, b)
+    )
+    first = next(scan, None)
+    assert is_p3_free(g) == ((True, None) if first is None else (False, first))
 
 
 def test_max_clique_is_a_clique():
