@@ -18,7 +18,6 @@ import sys
 
 from . import homs, oracle, quotients, raag, semidirect, verify
 from .perms import strand_permutation, virtual_permutation
-from .raag import CommGraph, build_graph
 from .words import Params, Word, parse_word
 
 
@@ -34,12 +33,6 @@ def _nf_dict(w: Word) -> dict:
         "perm": list(nf.perm.images),
         "cycles": nf.perm.cycle_string(),
     }
-
-
-def _maybe_graph(params: Params) -> CommGraph | None:
-    if params.n == 1:
-        return None
-    return build_graph(params)
 
 
 def _cmd_nf(args: argparse.Namespace, params: Params) -> int:
@@ -78,7 +71,7 @@ def _cmd_perm(args: argparse.Namespace, params: Params) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace, params: Params) -> int:
-    g = _maybe_graph(params)
+    g = None if params.n == 1 else raag.build_graph(params)
     if args.mode == "dot":
         sys.stdout.write("graph commutation {\n}\n" if g is None else raag.to_dot(g))
         return 0
@@ -92,22 +85,19 @@ def _cmd_graph(args: argparse.Namespace, params: Params) -> int:
 
 
 def _cmd_vcd(args: argparse.Namespace, params: Params) -> int:
-    g = _maybe_graph(params)
-    k = 0 if g is None else raag.clique_number(g)
+    k = raag.clique_number(params)
     return _emit(clique_number=k, vcd=k)
 
 
 def _cmd_howson(args: argparse.Namespace, params: Params) -> int:
-    g = _maybe_graph(params)
-    free, witness = (True, None) if g is None else raag.is_p3_free(g)
+    free, witness = raag.is_p3_free(params)
     return _emit(
         howson=free, p3_witness=None if witness is None else [list(v) for v in witness]
     )
 
 
 def _cmd_lerf_witness(args: argparse.Namespace, params: Params) -> int:
-    g = _maybe_graph(params)
-    witness = None if g is None else raag.f2xf2_witness(g)
+    witness = raag.f2xf2_witness(params)
     return _emit(
         lerf=witness is None,
         f2xf2_witness=None if witness is None else [list(v) for v in witness],
@@ -115,8 +105,7 @@ def _cmd_lerf_witness(args: argparse.Namespace, params: Params) -> int:
 
 
 def _cmd_center_witness(args: argparse.Namespace, params: Params) -> int:
-    g = _maybe_graph(params)
-    dom = [] if g is None else [list(v) for v in raag.dominating_vertices(g)]
+    dom = [list(v) for v in raag.dominating_vertices(params)]
     if params.n >= 2:
         u = parse_word("r1 s1.1", params)
         v = parse_word("s1.1 r1", params)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .perms import Perm, adjacent, compose, identity
+from .homs import abelianize
+from .perms import Perm, adjacent, identity, strand_permutation
 from .words import SIGMA, Letter, Params, Word, alphabet, rho, sigma, word
 
 
@@ -49,22 +50,6 @@ def quotient_identity(params: Params, d: int) -> QuotElem:
     return QuotElem((0,) * params.c, identity(params.n), d)
 
 
-def qmul(a: QuotElem, b: QuotElem) -> QuotElem:
-    if a.modulus != b.modulus or len(a.vec) != len(b.vec):
-        raise ValueError("cannot multiply elements of different quotients")
-    vec = tuple(x + y for x, y in zip(a.vec, b.vec))
-    if a.modulus:
-        vec = tuple(x % a.modulus for x in vec)
-    return QuotElem(vec, compose(a.perm, b.perm), a.modulus)
-
-
-def qinv(a: QuotElem) -> QuotElem:
-    vec = tuple(-x for x in a.vec)
-    if a.modulus:
-        vec = tuple(x % a.modulus for x in vec)
-    return QuotElem(vec, a.perm.inverse(), a.modulus)
-
-
 def _letter_image(letter: Letter, params: Params, d: int) -> QuotElem:
     vec = [0] * params.c
     if letter.kind == SIGMA:
@@ -73,11 +58,9 @@ def _letter_image(letter: Letter, params: Params, d: int) -> QuotElem:
 
 
 def quotient_image(w: Word, d: int) -> QuotElem:
-    _check_modulus(d)
-    out = quotient_identity(w.params, d)
-    for letter in w:
-        out = qmul(out, _letter_image(letter, w.params, d))
-    return out
+    """The colour exponent sums of w (mod d unless d = 0) and its strand permutation."""
+    sums = abelianize(w).sigma_exponents
+    return QuotElem(tuple(x % d for x in sums) if d else sums, strand_permutation(w), d)
 
 
 def _closure(params: Params, d: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -136,10 +119,7 @@ def quotient_order(params: Params, d: int, closure_limit: int = 20_000) -> Order
             raise RuntimeError(f"closure reached {size} elements, expected {order}")
         return OrderCertificate(order, n_fact, "closure", size)
     for t in range(1, params.c + 1):
-        unit = qmul(
-            quotient_image(word(params, sigma(1, t)), d),
-            qinv(quotient_image(word(params, rho(1)), d)),
-        )
+        unit = quotient_image(word(params, sigma(1, t), rho(1)), d)  # r1 is an involution
         expected_vec = tuple(1 if k == t - 1 else 0 for k in range(params.c))
         if unit.vec != expected_vec or not unit.perm.is_identity:
             raise RuntimeError(f"unit for colour {t} not realised in the image")

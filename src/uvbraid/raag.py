@@ -17,12 +17,14 @@ inverse letter.  Reading back the smallest piece (in lexicographic
 yields a canonical fully-cancelled word: two words are equal in the
 group iff their normal forms are equal letter for letter.
 
-The graph (``CommGraph``, at most ``MAX_VERTICES`` vertices) is built
-only for the certificates used elsewhere: the clique number floor(n/2)
-with a matching certificate (for cohomological dimension), induced path
-detection (Howson property), a pair of joined non-edges spanning
-F2 x F2 (an obstruction to subgroup separability), and dominating
-vertices (central generators).
+The certificates read off this graph check their witnesses with
+``commute``, the colour-blind disjointness of strand pairs, and never
+build it: the clique number floor(n/2) with a matching certificate (for
+cohomological dimension), an induced path (Howson property), a pair of
+joined non-edges spanning F2 x F2 (an obstruction to subgroup
+separability), and the absence of dominating vertices (central
+generators).  The graph itself (``CommGraph``, at most ``MAX_VERTICES``
+vertices) is built only to be drawn or counted.
 """
 
 from __future__ import annotations
@@ -120,6 +122,18 @@ def parse_kword(text: str, params: Params) -> KWord:
     return KWord(params, tuple(letters))
 
 
+def vertices(params: Params) -> Iterator[Vertex]:
+    """The kernel letters (i, j, t), i != j, in lexicographic order."""
+    n, c = params.n, params.c
+    return (
+        (i, j, t)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+        for t in range(1, c + 1)
+    )
+
+
 class CommGraph:
     """Immutable commutation graph on the kernel generators of UV(n, c)."""
 
@@ -130,14 +144,7 @@ class CommGraph:
         if n * (n - 1) * c > MAX_VERTICES:
             raise ValueError(f"graph needs n(n-1)c <= {MAX_VERTICES} vertices, got n={n}, c={c}")
         self.params = params
-        self.verts: tuple[Vertex, ...] = tuple(
-            (i, j, t)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j
-            for t in range(1, c + 1)
-        )
-        # Vertex tuples are generated in lexicographic order already.
+        self.verts: tuple[Vertex, ...] = tuple(vertices(params))
         self.index: dict[Vertex, int] = {v: k for k, v in enumerate(self.verts)}
         # A vertex is adjacent to every vertex touching neither of its strands.
         touching = [0] * (n + 1)
@@ -148,9 +155,6 @@ class CommGraph:
         self.adj: tuple[int, ...] = tuple(
             full & ~(touching[i] | touching[j]) for (i, j, _) in self.verts
         )
-
-    def __len__(self) -> int:
-        return len(self.verts)
 
     def adjacent(self, u: Vertex, v: Vertex) -> bool:
         a, b = self.index[u], self.index[v]
@@ -213,28 +217,36 @@ def normal_form(w: KWord) -> KWord:
     return KWord(w.params, tuple(out))
 
 
-def max_clique(g: CommGraph) -> tuple[Vertex, ...]:
+def commute(u: Vertex, v: Vertex) -> bool:
+    """Whether u and v are adjacent in the commutation graph: their strand
+    pairs are disjoint, whatever their colours."""
+    return not {u[0], u[1]} & {v[0], v[1]}
+
+
+def max_clique(params: Params) -> tuple[Vertex, ...]:
     """A maximum clique: the matching (1,2,1), (3,4,1), ..., (2k-1,2k,1), k = floor(n/2).
 
     Adjacent letters have disjoint strand pairs, so a clique is a set of
     pairwise strand-disjoint pairs; each takes up two of the n strands, so
     by pigeonhole a clique has at most floor(n/2) members, and the matching
-    has that many.  Each pair of the witness is checked against ``g.adj``.
+    has that many.  The witness is checked to use each strand at most once,
+    which is ``commute`` on every pair of it.
     """
-    ids = [g.index[(i, i + 1, 1)] for i in range(1, g.params.n, 2)]
-    if not all((g.adj[a] >> b) & 1 for a in ids for b in ids if a != b):
+    clique = tuple((i, i + 1, 1) for i in range(1, params.n, 2))
+    strands = [s for i, j, _ in clique for s in (i, j)]
+    if len(set(strands)) != len(strands):
         raise RuntimeError("matching witness is not a clique")
-    return tuple(g.verts[a] for a in ids)
+    return clique
 
 
-def clique_number(g: CommGraph) -> int:
-    return len(max_clique(g))
+def clique_number(params: Params) -> int:
+    return len(max_clique(params))
 
 
 P3Witness = tuple[Vertex, Vertex, Vertex]
 
 
-def is_p3_free(g: CommGraph) -> tuple[bool, Optional[P3Witness]]:
+def is_p3_free(params: Params) -> tuple[bool, Optional[P3Witness]]:
     """Whether no induced path on three vertices exists, with a witness if not.
 
     A witness (v1, v2, v3) has v2 adjacent to both ends, which are not
@@ -242,12 +254,12 @@ def is_p3_free(g: CommGraph) -> tuple[bool, Optional[P3Witness]]:
     graph is edgeless.  For n >= 4 it runs from (3,4,1) through (1,2,1)
     to the next neighbour of (1,2,1) in vertex order, again on strand 3.
     """
-    n, c = g.params.n, g.params.c
+    n, c = params.n, params.c
     if n < 4:
         return True, None
     end = (3, 4, 2) if c > 1 else (3, 5, 1) if n > 4 else (4, 3, 1)
     v1, v2, v3 = path = ((3, 4, 1), (1, 2, 1), end)
-    if not (g.adjacent(v1, v2) and g.adjacent(v2, v3)) or g.adjacent(v1, v3):
+    if not (commute(v1, v2) and commute(v2, v3)) or commute(v1, v3):
         raise RuntimeError("induced path witness adjacency pattern failed")
     return False, path
 
@@ -255,25 +267,31 @@ def is_p3_free(g: CommGraph) -> tuple[bool, Optional[P3Witness]]:
 F2F2Witness = tuple[Vertex, Vertex, Vertex, Vertex]
 
 
-def f2xf2_witness(g: CommGraph) -> Optional[F2F2Witness]:
+def f2xf2_witness(params: Params) -> Optional[F2F2Witness]:
     """Two non-adjacent pairs, fully joined across, spanning F2 x F2.
 
     Exists iff n >= 4: take the opposite-direction letters on strands
     (1,2) and on (3,4) in the first colour.
     """
-    if g.params.n < 4:
+    if params.n < 4:
         return None
     x1, x2, y1, y2 = quad = ((1, 2, 1), (2, 1, 1), (3, 4, 1), (4, 3, 1))
-    joined = all(g.adjacent(x, y) for x in (x1, x2) for y in (y1, y2))
-    if not joined or g.adjacent(x1, x2) or g.adjacent(y1, y2):
+    joined = all(commute(x, y) for x in (x1, x2) for y in (y1, y2))
+    if not joined or commute(x1, x2) or commute(y1, y2):
         raise RuntimeError("F2 x F2 witness adjacency pattern failed")
     return quad
 
 
-def dominating_vertices(g: CommGraph) -> tuple[Vertex, ...]:
-    """Vertices adjacent to every other vertex (always empty here)."""
-    full = (1 << len(g.verts)) - 1
-    return tuple(v for k, v in enumerate(g.verts) if g.adj[k] == full & ~(1 << k))
+def dominating_vertices(params: Params) -> tuple[Vertex, ...]:
+    """Vertices adjacent to every other vertex: there are none.
+
+    Each vertex (i, j, t) shares both its strands with (j, i, t), so the
+    two never commute and neither dominates.  The instance (1,2,1) against
+    (2,1,1) is checked; for n = 1 there are no vertices at all.
+    """
+    if params.n > 1 and commute((1, 2, 1), (2, 1, 1)):
+        raise RuntimeError("(1,2,1) commutes with (2,1,1)")
+    return ()
 
 
 def to_dot(g: CommGraph) -> str:

@@ -132,7 +132,7 @@ def check_p3_classification(seed: int) -> tuple[list[str], str]:
     for n in range(2, 9):
         for c in range(1, 4):
             g = build_graph(Params(n, c))
-            free, witness = raag.is_p3_free(g)
+            free, witness = raag.is_p3_free(g.params)
             if free != (n <= 3):
                 bad.append(f"n={n} c={c}: p3-free={free}")
             if not free:
@@ -148,7 +148,7 @@ def check_f2xf2(seed: int) -> tuple[list[str], str]:
     for n in range(2, 9):
         for c in range(1, 4):
             g = build_graph(Params(n, c))
-            witness = raag.f2xf2_witness(g)
+            witness = raag.f2xf2_witness(g.params)
             if (witness is not None) != (n >= 4):
                 bad.append(f"n={n} c={c}: witness={witness}")
             if witness is not None:
@@ -179,10 +179,9 @@ def check_conjugation_action(seed: int) -> tuple[list[str], str]:
     for n in (2, 3, 4):
         for c in (1, 2):
             params = Params(n, c)
-            g = build_graph(params)
             for p in all_perms(n):
                 section = rho_word(p, params)
-                for i, j, t in g.verts:
+                for i, j, t in raag.vertices(params):
                     count += 1
                     d = KLetter(i, j, t, 1)
                     lhs = section * kletter_to_word(d, params) * section.inverse()
@@ -192,11 +191,10 @@ def check_conjugation_action(seed: int) -> tuple[list[str], str]:
     proven = 0
     checked = 0
     params = Params(4, 1)
-    g = build_graph(params)
     for k in (1, 2, 3):
         p = adjacent(4, k)
         section = rho_word(p, params)
-        for i, j, t in g.verts:
+        for i, j, t in raag.vertices(params):
             d = KLetter(i, j, t, 1)
             lhs = section * kletter_to_word(d, params) * section.inverse()
             rhs = kletter_to_word(permute_kletter(p, d), params)
@@ -361,13 +359,20 @@ def check_finite_quotients(seed: int) -> tuple[list[str], str]:
     )
 
 
+def _dominating(g: CommGraph) -> tuple[raag.Vertex, ...]:
+    """Vertices adjacent to every other vertex, by a scan of the masks."""
+    full = (1 << len(g.verts)) - 1
+    return tuple(v for k, v in enumerate(g.verts) if g.adj[k] == full & ~(1 << k))
+
+
 @_claim("trivial-centre")
 def check_trivial_centre(seed: int) -> tuple[list[str], str]:
     bad: list[str] = []
     for n in range(2, 9):
         for c in range(1, 4):
-            dom = raag.dominating_vertices(build_graph(Params(n, c)))
-            if dom:
+            g = build_graph(Params(n, c))
+            dom = _dominating(g)
+            if dom or raag.dominating_vertices(g.params):
                 bad.append(f"n={n} c={c}: dominating {dom}")
     for n in range(3, 7):
         params = Params(n, 1)

@@ -21,6 +21,7 @@ convention, the only valid word there is the empty one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Iterator
 
@@ -216,12 +217,14 @@ def free_reduce(w: Word) -> Word:
 Relation = tuple[str, Word, Word]
 
 
-def defining_relations(params: Params) -> list[Relation]:
+@lru_cache(maxsize=64)
+def defining_relations(params: Params) -> tuple[Relation, ...]:
     """All defining relation instances of UV(n, c) as (label, lhs, rhs).
 
     The order is fixed: virtual braid relations, far virtual
     commutations, involutions, far crossing commutations, far
-    crossing/virtual commutations, then the slide relations.
+    crossing/virtual commutations, then the slide relations.  The result
+    is cached per ``Params``, and is a tuple so that no caller can change it.
     """
     n, c = params.n, params.c
     rels: list[Relation] = []
@@ -266,7 +269,7 @@ def defining_relations(params: Params) -> list[Relation]:
                 word(params, rho(i), rho(i + 1), sigma(i, t)),
                 word(params, sigma(i + 1, t), rho(i), rho(i + 1)),
             ))
-    return rels
+    return tuple(rels)
 
 
 def relator_words(params: Params) -> list[tuple[str, Word]]:

@@ -9,6 +9,9 @@ import pytest
 
 import uvbraid
 from uvbraid.cli import run
+from uvbraid.raag import build_graph
+
+from test_raag import vertices_commute
 
 
 def run_json(capsys, argv, expect=0):
@@ -52,15 +55,32 @@ def test_bad_params_exit_2(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["vcd"], ["howson"], ["lerf-witness"], ["center-witness"], ["graph", "stats"], ["graph", "dot"]],
-)
+@pytest.mark.parametrize("argv", [["graph", "stats"], ["graph", "dot"]])
 def test_graph_commands_refuse_large_inputs(capsys, argv):
     assert run(argv + ["--n", "300", "--c", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: graph needs n(n-1)c <= 10000 vertices, got n=300, c=3\n"
+
+
+@pytest.mark.parametrize("command", ["vcd", "howson", "lerf-witness", "center-witness"])
+@pytest.mark.parametrize("n", [300, 100_000])
+def test_certificate_commands_run_beyond_graph_limit(capsys, command, n):
+    builds = build_graph.cache_info()
+    payload = run_json(capsys, [command, "--n", str(n), "--c", "3"])
+    assert build_graph.cache_info() == builds
+    if command == "vcd":
+        assert payload["clique_number"] == payload["vcd"] == n // 2
+    elif command == "howson":
+        v1, v2, v3 = payload["p3_witness"]
+        assert vertices_commute(v1, v2) and vertices_commute(v2, v3)
+        assert not vertices_commute(v1, v3)
+    elif command == "lerf-witness":
+        x1, x2, y1, y2 = payload["f2xf2_witness"]
+        assert not vertices_commute(x1, x2) and not vertices_commute(y1, y2)
+        assert all(vertices_commute(x, y) for x in (x1, x2) for y in (y1, y2))
+    else:
+        assert payload["dominating_vertices"] == [] and payload["commute"] is False
 
 
 def test_non_ascii_digit_exits_2_with_token_position(capsys):

@@ -6,8 +6,8 @@ tokens.  Whatever the argv, ``run`` must return 0, 2 or 64 without
 raising; 2 must come with a message on stderr, and 0 with one JSON
 document whose first key is ``schema`` (or DOT text for ``graph dot``,
 or the help text for ``-h``).
-Numeric flags stay small: the graph commands refuse large inputs, but
-the homomorphism search grows with n and m and the quotient closure with
+Numeric flags stay small: ``graph`` refuses large inputs, but the
+homomorphism search grows with n and m and the quotient closure with
 n, c and d (``quot order --n 5 --c 2 --d 6`` closes 4,320 elements).
 """
 

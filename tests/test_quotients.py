@@ -15,8 +15,34 @@ from uvbraid import (
     random_word,
     relator_words,
 )
-from uvbraid.quotients import _closure, qinv, qmul, quotient_identity
+from uvbraid.perms import compose
+from uvbraid.quotients import _closure, _letter_image, quotient_identity
 from uvbraid.words import alphabet
+
+
+def qmul(a, b):
+    """Reference group law: add the vectors (mod d), compose the permutations."""
+    if a.modulus != b.modulus or len(a.vec) != len(b.vec):
+        raise ValueError("cannot multiply elements of different quotients")
+    vec = tuple(x + y for x, y in zip(a.vec, b.vec))
+    if a.modulus:
+        vec = tuple(x % a.modulus for x in vec)
+    return QuotElem(vec, compose(a.perm, b.perm), a.modulus)
+
+
+def qinv(a):
+    vec = tuple(-x for x in a.vec)
+    if a.modulus:
+        vec = tuple(x % a.modulus for x in vec)
+    return QuotElem(vec, a.perm.inverse(), a.modulus)
+
+
+def reference_image(w, d):
+    """Image of w as the ``qmul`` fold of its letters' images."""
+    out = quotient_identity(w.params, d)
+    for letter in w:
+        out = qmul(out, _letter_image(letter, w.params, d))
+    return out
 
 
 def test_identity_element():
@@ -88,6 +114,18 @@ def test_generator_images():
     assert y.perm.images == (1, 3, 2)
     z = quotient_image(parse_word("S1.2 S1.2", p), 3)
     assert z.vec == (0, 1)  # -2 = 1 mod 3
+
+
+def test_quotient_image_matches_letter_fold():
+    rng = random.Random(29)
+    for _ in range(3000):
+        p = Params(rng.randint(1, 7), rng.randint(1, 3))
+        w = random_word(p, rng, 20)
+        d = rng.choice((0, 2, 3, 5))
+        assert quotient_image(w, d) == reference_image(w, d)
+    for d in (1, -2):
+        with pytest.raises(ValueError):
+            quotient_image(parse_word("s1.1", Params(2, 1)), d)
 
 
 def test_untruncated_exponents_match_abelianisation():

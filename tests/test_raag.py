@@ -18,8 +18,8 @@ from uvbraid import (
     parse_kword,
     to_dot,
 )
-from uvbraid.raag import MAX_VERTICES
-from uvbraid.verify import _max_clique_ids
+from uvbraid.raag import MAX_VERTICES, commute, vertices
+from uvbraid.verify import _dominating, _max_clique_ids
 
 
 def vertices_commute(u, v):
@@ -72,6 +72,15 @@ def test_vertices_commute_is_disjointness():
 def test_parse_kword_rejects_non_ascii_digits_with_position(text):
     with pytest.raises(ValueError, match="^token 2: expected d<i>.<j>.<t>"):
         parse_kword("d1.2.1 " + text, Params(3, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_commute_matches_pairwise_reference(n):
+    verts = list(vertices(Params(n, 2)))
+    assert verts == sorted(set(verts)) and len(verts) == n * (n - 1) * 2
+    for u in verts:
+        for v in verts:
+            assert commute(u, v) == vertices_commute(u, v)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -165,26 +174,26 @@ def test_free_cases_degenerate_to_free_reduction():
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("c", (1, 2, 3))
 def test_clique_number_formula(n, c):
-    assert clique_number(build_graph(Params(n, c))) == n // 2
+    assert clique_number(Params(n, c)) == n // 2
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("c", (1, 2, 3))
 def test_branch_and_bound_matches_matching_witness(n, c):
-    g = build_graph(Params(n, c))
-    assert len(_max_clique_ids(g)) == len(max_clique(g))
+    p = Params(n, c)
+    assert len(_max_clique_ids(build_graph(p))) == len(max_clique(p))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_max_clique_is_strand_disjoint(n):
-    clique = max_clique(build_graph(Params(n, 2)))
+    clique = max_clique(Params(n, 2))
     assert len(clique) == n // 2
     for u, v in itertools.combinations(clique, 2):
         assert vertices_commute(u, v)
 
 
 def test_clique_number_beyond_search_reach():
-    assert clique_number(build_graph(Params(40, 2))) == 20
+    assert clique_number(Params(40, 2)) == 20
 
 
 def test_graph_size_limit():
@@ -206,12 +215,12 @@ def test_p3_witness_is_the_first_in_vertex_order(n, c):
         if not vertices_commute(a, b)
     )
     first = next(scan, None)
-    assert is_p3_free(g) == ((True, None) if first is None else (False, first))
+    assert is_p3_free(g.params) == ((True, None) if first is None else (False, first))
 
 
 def test_max_clique_is_a_clique():
     g = build_graph(Params(7, 2))
-    clique = max_clique(g)
+    clique = max_clique(g.params)
     assert len(clique) == 3
     for a in clique:
         for b in clique:
@@ -220,8 +229,8 @@ def test_max_clique_is_a_clique():
 
 
 def test_p3_free_iff_small_n():
-    assert is_p3_free(build_graph(Params(3, 3)))[0]
-    free, witness = is_p3_free(build_graph(Params(4, 1)))
+    assert is_p3_free(Params(3, 3))[0]
+    free, witness = is_p3_free(Params(4, 1))
     assert not free
     v1, v2, v3 = witness
     g = build_graph(Params(4, 1))
@@ -229,9 +238,9 @@ def test_p3_free_iff_small_n():
 
 
 def test_f2xf2_witness_pattern():
-    assert f2xf2_witness(build_graph(Params(3, 3))) is None
+    assert f2xf2_witness(Params(3, 3)) is None
     g = build_graph(Params(4, 1))
-    x1, x2, y1, y2 = f2xf2_witness(g)
+    x1, x2, y1, y2 = f2xf2_witness(g.params)
     assert not g.adjacent(x1, x2) and not g.adjacent(y1, y2)
     for x in (x1, x2):
         for y in (y1, y2):
@@ -239,8 +248,11 @@ def test_f2xf2_witness_pattern():
 
 
 def test_no_dominating_vertices():
-    for n in (2, 4, 8):
-        assert dominating_vertices(build_graph(Params(n, 2))) == ()
+    for n in range(1, 9):
+        for c in (1, 2, 3):
+            p = Params(n, c)
+            scan = () if n == 1 else _dominating(build_graph(p))
+            assert dominating_vertices(p) == scan == ()
 
 
 def test_dot_output_is_stable():

@@ -139,6 +139,13 @@ def test_relation_inventory_counts():
     assert kinds == {"braid": 3, "invol": 4, "comm": 3 + 12 + 12, "slide": 6}
 
 
+def test_defining_relations_are_cached_and_immutable():
+    p = Params(4, 2)
+    rels = defining_relations(p)
+    assert rels is defining_relations(p)
+    assert isinstance(rels, tuple) and all(isinstance(rel, tuple) for rel in rels)
+
+
 def test_relator_words_are_relation_quotients():
     p = Params(4, 2)
     for (lab, lhs, rhs), (lab2, rel) in zip(defining_relations(p), relator_words(p)):
