@@ -55,12 +55,21 @@ def test_bad_params_exit_2(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [["graph", "stats"], ["graph", "dot"]])
+# n(n-1)c just over the limit (10,100 and 10,002 vertices), then well over it.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", mode, "--n", n, "--c", c]
+        for n, c in [("101", "1"), ("3", "1667"), ("300", "3")]
+        for mode in ("stats", "dot")
+    ],
+)
 def test_graph_commands_refuse_large_inputs(capsys, argv):
-    assert run(argv + ["--n", "300", "--c", "3"]) == 2
+    n, c = argv[3], argv[5]
+    assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: graph needs n(n-1)c <= 10000 vertices, got n=300, c=3\n"
+    assert captured.err == f"error: graph needs n(n-1)c <= 10000 vertices, got n={n}, c={c}\n"
 
 
 @pytest.mark.parametrize("command", ["vcd", "howson", "lerf-witness", "center-witness"])
