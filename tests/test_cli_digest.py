@@ -13,6 +13,7 @@ To print the current digests after such a change:
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 from unittest import mock
@@ -32,6 +33,8 @@ GRAPH_COMMANDS = (
 QUOT_WORDS = ("", "s1.1 r1 S1.1", "r1 s1.2 s1.2 s1.2", "s2.1 r3 s4.1 S2.1 r1")
 WORDS = ("", "r1 s2.1", "r1 s2.1 r1 S3.2 r2 s1.1", "r3 s1.2 S1.2 r3 s2.1 r1 r2", "r4")
 PAIRS = (("r1 s2.1 r1", "r2 s1.1 r2"), ("r1 s1.1", "s1.1 r1"), ("s1.1 S1.1", ""))
+PHI_WORD = "r1 s1.1 r1 S1.1 s1.1"
+BUDGET_CASES = (("6", "6", "3", "300"), ("5", "2", "4", "100"), ("5", "1", "5", "2000"))
 
 
 def _nc(n, c):
@@ -55,6 +58,15 @@ def grid():
     cases["hom enumerate"] = [
         ["hom", "enumerate", *_nc(n, c), "--m", str(m)]
         for n in range(1, 5) for c in (1, 2) for m in range(1, 4)
+    ]
+    cases["hom phi"] = [
+        ["hom", "phi", *_nc(n, c), "--eps", ",".join(map(str, bits)), *extra]
+        for n in range(1, 7) for c in (1, 2) for bits in itertools.product((0, 1), repeat=c + 1)
+        for extra in ([], ["--word", PHI_WORD])
+    ]
+    cases["hom enumerate budget"] = [
+        ["hom", "enumerate", "--n", n, "--c", c, "--m", m, "--max-nodes", nodes]
+        for n, c, m, nodes in BUDGET_CASES
     ]
     cases["nf"] = [["nf", *_nc(n, 2), "--word", w] for n in (3, 5) for w in WORDS]
     cases["eq"] = [["eq", *_nc(n, 1), u, v] for n in (3, 4) for u, v in PAIRS]
@@ -82,6 +94,8 @@ GOLDEN = {
     "quot order": "2e4f2b5416bca8dca3ae10f25daa52dde1a5781b02124341ff4a832f88661e12",
     "quot eval": "01f6a319cac6346348aa6a5936d41db2925aaf0182d571b9ff6ebd4f3ec1961b",
     "hom enumerate": "90d66f84a29e3984b115594e8e254b39c19f71044f5dd2b1f6443b9790556441",
+    "hom enumerate budget": "ccdd454bd88eea912990f02ec48a9a4b6476f14aeafc047be67971fc098866fa",
+    "hom phi": "72472ff63f0c9ebe8143c801a423884531c4ae6039f81593fb50b5a739419817",
     "nf": "a73c930b11999f143b8619cf6c975e27c9311f96bf9d404f812859946113aec0",
     "eq": "d639ae48b060ef6dcaf15a0731d94ffa3d63146d607c01110eeec492745aadac",
 }
