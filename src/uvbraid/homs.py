@@ -1,22 +1,23 @@
 """Homomorphisms from UV(n, c) to symmetric groups, and abelian invariants.
 
 A homomorphism to S_m is specified by its generator images
-(``HomSpec``); ``verify_homspec`` checks every defining relation
-instance and reports the first failure.  The on/off family
-``hom_from_bits`` is indexed by c+1 bits: bit t sends every colour-t
-crossing to its adjacent transposition or to the identity, and the
-last bit does the same for the virtual letters.  Such a map with
-non-abelian image exists exactly when the virtual bit is on, which is
-what ``is_admissible`` computes (by verification, not by reading the
-bit).
+(``HomSpec``).  Every relation check reads one table: the
+``defining_relations`` compiled once per ``Params`` into generator
+codes (``_relation_table``), evaluated on plain image tuples.
+``verify_homspec`` checks every relation instance and reports the
+first failure.  ``enumerate_homs`` backtracks over generator images in
+code order: involutions for the virtual letters, then crossing images
+column by column, where the slide relations force every image beyond
+the first row; each relation is checked once its last generator is
+assigned.  Budgets are node count plus wall clock; exceeding one
+raises, never truncates silently.
 
-``enumerate_homs`` searches all homomorphisms to S_m by backtracking
-over generator images: virtual images first (they must be involutions
-satisfying the braid and far-commutation relations), then crossing
-images column by column, where the slide relations leave exactly one
-candidate for each crossing image beyond the first row.  Budgets are
-node count plus wall clock; exceeding one raises, never truncates
-silently.
+The on/off family ``hom_from_bits`` is indexed by c+1 bits: bit t
+sends every colour-t crossing to its adjacent transposition or to the
+identity, and the last bit does the same for the virtual letters.
+Such a map with non-abelian image exists exactly when the virtual bit
+is on, which is what ``is_admissible`` computes (by verification, not
+by reading the bit).
 
 The abelianisation is free of rank c times order two: per-colour
 crossing exponent sums plus the virtual letter count mod 2
@@ -27,9 +28,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from itertools import combinations
 from typing import Optional
 
-from .perms import Perm, adjacent, all_perms, compose, identity
+from .perms import Perm, adjacent, all_perms, identity
 from .words import SIGMA, Params, Word, defining_relations
 
 Bits = tuple[int, ...]
@@ -107,22 +110,61 @@ def _check_shape(h: HomSpec, params: Params) -> None:
             raise ValueError(f"image degree {p.n} does not match m={h.m}")
 
 
+Image = tuple[int, ...]  # a permutation of 0..m-1 as its tuple of images
+Codes = tuple[int, ...]
+
+
+@lru_cache(maxsize=64)
+def _relation_table(params: Params) -> tuple[tuple[str, Codes, Codes], ...]:
+    """``defining_relations`` as (label, lhs codes, rhs codes), same order.
+
+    Generator codes: r<i> is i-1 and s<i>.<t> is (n-1)t + i-1, so the
+    virtual letters come first, then the crossings column by column.
+    The defining relations use no inverse letters, so codes carry no sign.
+    """
+
+    def codes(w: Word) -> Codes:
+        return tuple((params.n - 1) * letter.t + letter.i - 1 for letter in w)
+
+    return tuple(
+        (label, codes(lhs), codes(rhs)) for label, lhs, rhs in defining_relations(params)
+    )
+
+
+def _mul(a: Image, b: Image) -> Image:
+    """The product a*b, mapping x to a(b(x))."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _product(codes: Codes, imgs: list[Image], one: Image) -> Image:
+    factors = map(imgs.__getitem__, codes)
+    return reduce(_mul, factors, next(factors, one))
+
+
+def _code_images(h: HomSpec) -> list[Image]:
+    """Generator images of h as 0-based tuples, indexed by generator code."""
+    sigma_by_code = (p for col in zip(*h.image_sigma) for p in col)
+    return [tuple(y - 1 for y in p.images) for p in (*h.image_rho, *sigma_by_code)]
+
+
+def _homspec(m: int, perms: list[Perm], n: int) -> HomSpec:
+    """The HomSpec whose generator images, in code order, are ``perms``."""
+    columns = [perms[k : k + n - 1] for k in range(n - 1, len(perms), n - 1)]
+    return HomSpec(m, tuple(perms[: n - 1]), tuple(zip(*columns)))
+
+
 def verify_homspec(h: HomSpec, params: Params) -> tuple[bool, Optional[str]]:
     """Check every defining relation instance; return (ok, first failing label)."""
     _check_shape(h, params)
-    for label, lhs, rhs in defining_relations(params):
-        if h.evaluate(lhs) != h.evaluate(rhs):
+    imgs, one = _code_images(h), tuple(range(h.m))
+    for label, lhs, rhs in _relation_table(params):
+        if _product(lhs, imgs, one) != _product(rhs, imgs, one):
             return False, label
     return True, None
 
 
 def has_abelian_image(h: HomSpec) -> bool:
-    images = h.generator_images()
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            if compose(images[a], images[b]) != compose(images[b], images[a]):
-                return False
-    return True
+    return all(_mul(a, b) == _mul(b, a) for a, b in combinations(_code_images(h), 2))
 
 
 def check_bits(bits: Bits, params: Params) -> None:
@@ -147,10 +189,6 @@ def hom_from_bits(bits: Bits, params: Params) -> HomSpec:
         for i in range(1, n)
     )
     return HomSpec(n, image_rho, image_sigma)
-
-
-def eval_bits_hom(bits: Bits, w: Word) -> Perm:
-    return hom_from_bits(bits, w.params).evaluate(w)
 
 
 def is_admissible(bits: Bits, params: Params) -> bool:
@@ -213,18 +251,20 @@ def enumerate_homs(
 ) -> list[HomSpec]:
     """All homomorphisms UV(n, c) -> S_m, as sorted HomSpecs.
 
-    Backtracking with incremental pruning: virtual images are assigned
-    left to right under the involution, braid and far-commutation
-    constraints; then for each colour the first crossing image ranges
-    over S_m and the slide relations force every later one, with the
-    far commutations checked as columns complete.  Each full assignment
-    is confirmed by ``verify_homspec`` before being kept.
+    Backtracking over image tuples in generator index order (see
+    ``_relation_table``): each virtual image ranges over the involutions
+    of S_m, each s<1>.<t> over all of S_m, and every later crossing of a
+    column is forced by its slide relation to y s y^-1 with
+    y = r<i> r<i+1>.  Each relation of the table is checked once, when
+    the generator that completes it is assigned.  One node is spent per
+    involution or S_m element tried; forced images are free.  Each full
+    assignment is confirmed by ``verify_homspec`` before being kept.
     """
     if m < 1:
         raise ValueError(f"target degree must be >= 1, got m={m}")
     if budget is None:
         budget = SearchBudget()
-    n, c = params.n, params.c
+    n = params.n
     if n == 1:
         return [HomSpec(m, (), ())]
     order = 1
@@ -254,96 +294,47 @@ def enumerate_homs(
         if nodes % 256 == 0:
             check_time()
 
-    sym: list[Perm] = []
-    involutions: list[Perm] = []
+    perm_of: dict[Image, Perm] = {}
     for p in all_perms(m):
-        if len(sym) % 256 == 0:
+        if len(perm_of) % 256 == 0:
             check_time()
-        sym.append(p)
-        if compose(p, p).is_identity:
-            involutions.append(p)
+        perm_of[tuple(y - 1 for y in p.images)] = p
+    sym, one = list(perm_of), tuple(range(m))
+    involutions = [p for p in sym if _mul(p, p) == one]
+    imgs = [one] * ((n - 1) * (params.c + 1))
+    completes: list[list[tuple[Codes, Codes]]] = [[] for _ in imgs]
+    for _, lhs, rhs in _relation_table(params):
+        completes[max(lhs + rhs)].append((lhs, rhs))
 
-    rho_imgs: list[Perm] = []
-    sigma_cols: list[list[Perm]] = []  # sigma_cols[t-1][i-1]
+    def holds(k: int) -> bool:
+        return all(
+            _product(lhs, imgs, one) == _product(rhs, imgs, one) for lhs, rhs in completes[k]
+        )
 
-    def rho_ok(r: Perm) -> bool:
-        k = len(rho_imgs)  # candidate would become image of r<k+1>
-        if k >= 1:
-            prev = rho_imgs[k - 1]
-            braid_l = compose(compose(prev, r), prev)
-            braid_r = compose(compose(r, prev), r)
-            if braid_l != braid_r:
-                return False
-        for j in range(k - 1):
-            other = rho_imgs[j]
-            if compose(other, r) != compose(r, other):
-                return False
-        return True
-
-    def column_ok(col: list[Perm], t_idx: int) -> bool:
-        # far crossing commutations within and across completed columns,
-        # and far crossing/virtual commutations for this column
-        for i in range(n - 1):
-            for j in range(n - 1):
-                if abs(i - j) < 2:
-                    continue
-                if compose(col[i], rho_imgs[j]) != compose(rho_imgs[j], col[i]):
-                    return False
-        for other in sigma_cols[:t_idx] + [col]:
-            for i in range(n - 1):
-                for j in range(i + 2, n - 1):
-                    if compose(col[i], other[j]) != compose(other[j], col[i]):
-                        return False
-                    if compose(other[i], col[j]) != compose(col[j], other[i]):
-                        return False
-        return True
-
-    def assign_sigma(t_idx: int) -> None:
-        if t_idx == c:
-            image_sigma = tuple(
-                tuple(sigma_cols[t][i] for t in range(c)) for i in range(n - 1)
-            )
-            h = HomSpec(m, tuple(rho_imgs), image_sigma)
+    def assign(k: int) -> None:
+        if k == len(imgs):
+            h = _homspec(m, [perm_of[g] for g in imgs], n)
             check_time()
             ok, _ = verify_homspec(h, params)
             if ok:
                 found.append(h)
             return
-        for first in sym:
-            spend()
-            col = [first]
-            for i in range(1, n - 1):
-                # slide relation: image of s<i+1>.<t> is forced by conjugation
-                y = compose(rho_imgs[i - 1], rho_imgs[i])
-                col.append(compose(compose(y, col[i - 1]), y.inverse()))
-            if not column_ok(col, t_idx):
-                continue
-            sigma_cols.append(col)
-            assign_sigma(t_idx + 1)
-            sigma_cols.pop()
-
-    def assign_rho(k: int) -> None:
-        if k == n - 1:
-            assign_sigma(0)
+        row = k % (n - 1)
+        if k >= n - 1 and row:
+            # slide: s<i+1>.<t> = y s<i>.<t> y^-1 with y = r<i> r<i+1>, i = row
+            imgs[k] = _product((row - 1, row, k - 1, row, row - 1), imgs, one)
+            if holds(k):
+                assign(k + 1)
             return
-        for r in involutions:
+        for g in (involutions if k < n - 1 else sym):
             spend()
-            if not rho_ok(r):
-                continue
-            rho_imgs.append(r)
-            assign_rho(k + 1)
-            rho_imgs.pop()
+            imgs[k] = g
+            if holds(k):
+                assign(k + 1)
 
-    assign_rho(0)
+    assign(0)
     return sorted_homs(found)
 
 
-def _hom_key(h: HomSpec):
-    return (
-        tuple(p.images for p in h.image_rho),
-        tuple(tuple(p.images for p in col) for col in h.image_sigma),
-    )
-
-
 def sorted_homs(homs: list[HomSpec]) -> list[HomSpec]:
-    return sorted(homs, key=_hom_key)
+    return sorted(homs, key=lambda h: [p.images for p in h.generator_images()])

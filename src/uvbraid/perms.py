@@ -107,18 +107,6 @@ def compose(a: Perm, b: Perm) -> Perm:
     return Perm(tuple(a.images[y - 1] for y in b.images))
 
 
-def from_cycles(n: int, *cycles: Iterable[int]) -> Perm:
-    imgs = list(range(1, n + 1))
-    for cyc in cycles:
-        pts = list(cyc)
-        for x in pts:
-            if not 1 <= x <= n:
-                raise ValueError(f"cycle point {x} out of range 1..{n}")
-        for k, x in enumerate(pts):
-            imgs[x - 1] = pts[(k + 1) % len(pts)]
-    return Perm(tuple(imgs))
-
-
 def all_perms(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic order of image tuples."""
     for images in itertools.permutations(range(1, n + 1)):

@@ -1,7 +1,10 @@
 import random
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uvbraid import (
     BudgetExceededError,
@@ -9,6 +12,7 @@ from uvbraid import (
     Params,
     Perm,
     SearchBudget,
+    Word,
     abelianize,
     color_parity,
     enumerate_homs,
@@ -20,8 +24,9 @@ from uvbraid import (
     relator_words,
     verify_homspec,
 )
-from uvbraid.homs import check_bits, eval_bits_hom, has_abelian_image
-from uvbraid.perms import transposition
+from uvbraid.homs import check_bits, has_abelian_image
+from uvbraid.perms import compose, transposition
+from uvbraid.words import alphabet
 
 
 def test_hom_from_bits_images():
@@ -78,10 +83,11 @@ def test_check_bits():
 
 def test_eval_bits_hom():
     p = Params(3, 1)
+    h = hom_from_bits((1, 1), p)
     w = parse_word("r1 s2.1 r1", p)
-    assert eval_bits_hom((1, 1), w) == eval_bits_hom((1, 1), parse_word("r2 s1.1 r2", p))
+    assert h.evaluate(w) == h.evaluate(parse_word("r2 s1.1 r2", p))
     # with every bit on, each letter maps to its adjacent transposition
-    assert eval_bits_hom((1, 1), parse_word("r1", p)) == transposition(3, 1, 2)
+    assert h.evaluate(parse_word("r1", p)) == transposition(3, 1, 2)
 
 
 def test_homspec_json_round_trip():
@@ -260,3 +266,22 @@ def test_enumerate_homs_checks_time_before_each_full_assignment(monkeypatch):
         enumerate_homs(p, 3, SearchBudget(max_seconds=2.5))
     assert calls <= 3
     assert all(real_verify(h, p)[0] for h in err.value.partial)
+
+
+@lru_cache(maxsize=None)
+def _enumerated(n, c, m):
+    return enumerate_homs(Params(n, c), m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_evaluate_is_a_homomorphism_for_enumerated_homs(data):
+    # multiplicative on concatenation, and inverse words map to inverses
+    n, c, m = data.draw(st.sampled_from([(3, 1, 3), (4, 2, 3), (5, 1, 4), (5, 1, 5)]))
+    p = Params(n, c)
+    h = data.draw(st.sampled_from(_enumerated(n, c, m)))
+    letters = st.lists(st.sampled_from(alphabet(p)), max_size=12)
+    u = Word(p, tuple(data.draw(letters)))
+    v = Word(p, tuple(data.draw(letters)))
+    assert h.evaluate(u * v) == compose(h.evaluate(u), h.evaluate(v))
+    assert h.evaluate(u * u.inverse()).is_identity

@@ -16,7 +16,7 @@ from uvbraid import (
     strand_permutation,
     virtual_permutation,
 )
-from uvbraid.perms import adjacent, from_cycles, transposition
+from uvbraid.perms import adjacent, transposition
 
 
 def test_doctests():
@@ -61,13 +61,6 @@ def test_cycle_string():
     assert identity(4).cycle_string() == "()"
     assert transposition(4, 2, 4).cycle_string() == "(2 4)"
     assert Perm((2, 3, 1, 4)).cycle_string() == "(1 2 3)"
-
-
-def test_from_cycles():
-    assert from_cycles(4, (1, 2, 3)) == Perm((2, 3, 1, 4))
-    assert from_cycles(3) == identity(3)
-    with pytest.raises(ValueError):
-        from_cycles(3, (1, 4))
 
 
 def test_all_perms_lex_order_and_count():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uvbraid import (
     OrderCertificate,
@@ -93,6 +95,17 @@ def test_quotient_image_is_a_homomorphism():
             assert quotient_image(u * v, d) == qmul(
                 quotient_image(u, d), quotient_image(v, d)
             )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_quotient_image_is_multiplicative(data):
+    p = Params(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)))
+    d = data.draw(st.sampled_from([0, 2, 3, 5]))
+    letters = st.lists(st.sampled_from(alphabet(p)), max_size=15) if p.n > 1 else st.just([])
+    u = Word(p, tuple(data.draw(letters)))
+    v = Word(p, tuple(data.draw(letters)))
+    assert quotient_image(u * v, d) == qmul(quotient_image(u, d), quotient_image(v, d))
 
 
 def test_relators_die_in_quotient():

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uvbraid import (
     KLetter,
     NormalForm,
     Params,
+    Word,
     all_perms,
     are_equal,
     commutator,
@@ -23,7 +26,7 @@ from uvbraid import (
     word,
 )
 from uvbraid.semidirect import permute_kletter
-from uvbraid.words import rho, sigma
+from uvbraid.words import alphabet, rho, sigma
 
 
 def test_delta_expansion_small():
@@ -110,6 +113,25 @@ def test_normal_form_is_invariant_of_the_element():
         pos = rng.randrange(len(w.letters) + 1)
         spliced = word(p, *(w.letters[:pos] + rel.letters + w.letters[pos:]))
         assert to_normal_form(spliced) == nf
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_are_equal_is_a_congruence(data):
+    # u = v exactly when x u y = x v y; half the pairs are made equal by
+    # splicing a relator (or its inverse) into u
+    p = Params(data.draw(st.integers(2, 5)), data.draw(st.integers(1, 2)))
+    letters = st.lists(st.sampled_from(alphabet(p)), max_size=10)
+    u, x, y = (Word(p, tuple(data.draw(letters))) for _ in range(3))
+    if data.draw(st.booleans()):
+        rel = data.draw(st.sampled_from(relator_words(p)))[1]
+        rel = rel.inverse() if data.draw(st.booleans()) else rel
+        pos = data.draw(st.integers(0, len(u)))
+        v = Word(p, u.letters[:pos] + rel.letters + u.letters[pos:])
+        assert are_equal(u, v)
+    else:
+        v = Word(p, tuple(data.draw(letters)))
+    assert are_equal(x * u * y, x * v * y) == are_equal(u, v)
 
 
 def test_conjugation_relabels_vertices():
