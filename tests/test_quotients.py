@@ -85,21 +85,9 @@ def test_group_axioms_randomised():
         assert qmul(qmul(x, y), z) == qmul(x, qmul(y, z))
 
 
-def test_quotient_image_is_a_homomorphism():
-    p = Params(4, 2)
-    rng = random.Random(19)
-    for d in (2, 3):
-        for _ in range(40):
-            u = random_word(p, rng, 10)
-            v = random_word(p, rng, 10)
-            assert quotient_image(u * v, d) == qmul(
-                quotient_image(u, d), quotient_image(v, d)
-            )
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_quotient_image_is_multiplicative(data):
+def test_quotient_image_is_a_homomorphism(data):
     p = Params(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)))
     d = data.draw(st.sampled_from([0, 2, 3, 5]))
     letters = st.lists(st.sampled_from(alphabet(p)), max_size=15) if p.n > 1 else st.just([])
