@@ -35,6 +35,26 @@ WORDS = ("", "r1 s2.1", "r1 s2.1 r1 S3.2 r2 s1.1", "r3 s1.2 S1.2 r3 s2.1 r1 r2",
 PAIRS = (("r1 s2.1 r1", "r2 s1.1 r2"), ("r1 s1.1", "s1.1 r1"), ("s1.1 S1.1", ""))
 PHI_WORD = "r1 s1.1 r1 S1.1 s1.1"
 BUDGET_CASES = (("6", "6", "3", "300"), ("5", "2", "4", "100"), ("5", "1", "5", "2000"))
+# Per strand count: the README pair, a pair equal by one relator inserted
+# inside another, and a pair made unequal by one flipped crossing; {c} is
+# the colour.  UV(1, c) has no letters, so its second pair is refused, and
+# at n = 2 the only relator r1 r1 is absorbed by free reduction.
+ORACLE_PAIRS = {
+    1: (("", ""), ("r1", "")),
+    2: (("r1 s1.{c}", "r1 s1.{c} r1 r1"), ("r1 s1.{c}", "r1 S1.{c}")),
+    3: (
+        ("r1 s2.1 r1", "r2 s1.1 r2"),
+        ("s1.{c} r2", "s1.{c} r1 r2 s1.{c} r2 r1 r2 r1 r2 r1 r2 r1 S2.{c} r2"),
+        ("r1 s2.{c} r1", "r1 S2.{c} r1"),
+    ),
+    4: (
+        ("r1 s2.1 r1", "r2 s1.1 r2"),
+        ("r2 s3.{c}", "r2 s1.{c} r3 r1 r3 r1 r3 S1.{c} r3 s3.{c}"),
+        ("s1.{c} r3 r2", "S1.{c} r3 r2"),
+    ),
+}
+# (depth, width): every depth at the CLI's width, then frontier overflow.
+ORACLE_BUDGETS = tuple((d, 300) for d in range(7)) + ((6, 1), (6, 5))
 
 
 def _nc(n, c):
@@ -68,6 +88,12 @@ def grid():
         ["hom", "enumerate", "--n", n, "--c", c, "--m", m, "--max-nodes", nodes]
         for n, c, m, nodes in BUDGET_CASES
     ]
+    cases["oracle eq"] = [
+        ["oracle", "eq", *_nc(n, c), "--depth", str(d), "--width", str(w),
+         u.format(c=c), v.format(c=c)]
+        for n, pairs in ORACLE_PAIRS.items() for c in (1, 2) for u, v in pairs
+        for d, w in ORACLE_BUDGETS
+    ]
     cases["nf"] = [["nf", *_nc(n, 2), "--word", w] for n in (3, 5) for w in WORDS]
     cases["eq"] = [["eq", *_nc(n, 1), u, v] for n in (3, 4) for u, v in PAIRS]
     return cases
@@ -96,6 +122,7 @@ GOLDEN = {
     "hom enumerate": "90d66f84a29e3984b115594e8e254b39c19f71044f5dd2b1f6443b9790556441",
     "hom enumerate budget": "ccdd454bd88eea912990f02ec48a9a4b6476f14aeafc047be67971fc098866fa",
     "hom phi": "72472ff63f0c9ebe8143c801a423884531c4ae6039f81593fb50b5a739419817",
+    "oracle eq": "80f96c6843c37e72e233374500a1b9684ff8e242ce2138466e035eeba500b618",
     "nf": "a73c930b11999f143b8619cf6c975e27c9311f96bf9d404f812859946113aec0",
     "eq": "d639ae48b060ef6dcaf15a0731d94ffa3d63146d607c01110eeec492745aadac",
 }
