@@ -6,15 +6,25 @@ applies one directed rewrite at one position and then free-reduces:
 either side of a defining relation replaced by the other (including
 the sign-flipped forms of the slide relation), insertion or deletion
 of a whole relator, or insertion of a cancelling pair r<i> r<i> or
-s S / S s.  Every rule preserves the
-group element, so a found path is a proof of equality; the result is
-three-valued and never claims inequality.  Exhausting the depth or
-overflowing the frontier budget returns Unknown.
+s S / S s.  Every rule preserves the group element, so a found path
+is a proof of equality; the result is three-valued and never claims
+inequality.  Exhausting the depth or overflowing the frontier budget
+returns Unknown.
+
+The search runs on integer codes: each letter is its index in
+``words.alphabet``, and the rules of ``rewrite_rules`` are compiled
+into those codes once per ``Params``, with a table of inverse codes.
+Every stored word is free-reduced, so a rewrite only needs reducing at
+its two seams.  A cancelling-pair insertion reduces straight back to
+the word it was applied to, so the search skips it without changing
+what it visits.  Words are encoded on the way in; the result holds
+only rule labels and positions.
 
 Proof paths are replayable: ``replay`` applies the recorded
-(rule, position) steps to u * v^-1 and must end at the empty word.
-This module shares nothing with the normal-form engine except the
-letter type, which is what makes it a useful cross-check.
+(rule, position) steps to u * v^-1 on ``Letter``s, independently of the
+coded search, and must end at the empty word.  This module shares
+nothing with the normal-form engine except the letter type, which is
+what makes it a useful cross-check.
 """
 
 from __future__ import annotations
@@ -23,13 +33,23 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .words import Letter, Params, Word, free_reduce_letters, relator_words, rho, sigma
+from .words import (
+    Letter,
+    Params,
+    Word,
+    alphabet,
+    free_reduce_letters,
+    relator_words,
+    rho,
+    sigma,
+)
 
 PROVEN_EQUAL = "proven_equal"
 UNKNOWN = "unknown"
 
 Rule = tuple[tuple[Letter, ...], tuple[Letter, ...]]
 Step = tuple[str, int]
+Codes = tuple[int, ...]  # a word as indices into ``words.alphabet``
 
 
 @dataclass(frozen=True)
@@ -113,22 +133,68 @@ def apply_rule(letters: tuple[Letter, ...], rule: Rule, pos: int) -> tuple[Lette
     return letters[:pos] + replacement + letters[pos + len(pattern) :]
 
 
-def _successors(
-    letters: tuple[Letter, ...], rules: dict[str, Rule]
-) -> Iterator[tuple[str, int, tuple[Letter, ...]]]:
-    for label, (pattern, replacement) in rules.items():
+@dataclass(frozen=True)
+class _Coding:
+    """Letters as their indices in ``words.alphabet`` and the rules in those codes."""
+
+    code: dict[Letter, int]
+    inverse: Codes  # inverse[x] is the code of the inverse of letter x
+    # (label, pattern, free-reduced replacement), in ``rewrite_rules`` order
+    rules: tuple[tuple[str, Codes, Codes], ...]
+
+    def encode(self, letters: tuple[Letter, ...]) -> Codes:
+        return tuple(self.code[letter] for letter in letters)
+
+
+@lru_cache(maxsize=None)
+def _coding(params: Params) -> _Coding:
+    letters = alphabet(params)
+    code = {letter: x for x, letter in enumerate(letters)}
+    inverse = tuple(code[letter.inverse()] for letter in letters)
+    rules = tuple(
+        (label, tuple(code[l] for l in pattern), tuple(code[l] for l in free_reduce_letters(rep)))
+        for label, (pattern, rep) in rewrite_rules(params).items()
+    )
+    return _Coding(code, inverse, rules)
+
+
+def _splice(node: Codes, i: int, j: int, rep: Codes, inverse: Codes) -> Codes:
+    """free_reduce(node[:i] + rep + node[j:]) for free-reduced node and rep.
+
+    Only the two seams can cancel: rep's head against the prefix, then
+    whatever is left on top against the suffix, up to the first letter
+    that does not cancel.
+    """
+    a, b, e, k = i, 0, len(rep), j
+    while a and b < e and node[a - 1] == inverse[rep[b]]:
+        a -= 1
+        b += 1
+    end = len(node)
+    while b < e and k < end and rep[e - 1] == inverse[node[k]]:
+        e -= 1
+        k += 1
+    if b == e:
+        while a and k < end and node[a - 1] == inverse[node[k]]:
+            a -= 1
+            k += 1
+    return node[:a] + rep[b:e] + node[k:]
+
+
+def _successors(node: Codes, coding: _Coding) -> Iterator[tuple[str, int, Codes]]:
+    inverse = coding.inverse
+    size = len(node)
+    for label, pattern, rep in coding.rules:
         if pattern:
             span = len(pattern)
-            for pos in range(len(letters) - span + 1):
-                if letters[pos : pos + span] == pattern:
-                    out = free_reduce_letters(
-                        letters[:pos] + replacement + letters[pos + span :]
-                    )
-                    yield label, pos, out
-        else:
-            for pos in range(len(letters) + 1):
-                out = free_reduce_letters(letters[:pos] + replacement + letters[pos:])
-                yield label, pos, out
+            head = pattern[0]
+            for pos in range(size - span + 1):
+                if node[pos] == head and node[pos : pos + span] == pattern:
+                    yield label, pos, _splice(node, pos, pos + span, rep, inverse)
+        elif rep:
+            # an inserted pair that cancels (r<i> r<i>, s S, S s) leaves
+            # every node as it is, and a node is always in ``seen``
+            for pos in range(size + 1):
+                yield label, pos, _splice(node, pos, pos, rep, inverse)
 
 
 def bfs_equal(
@@ -137,24 +203,28 @@ def bfs_equal(
     """Three-valued equality: PROVEN_EQUAL with a replayable path, or UNKNOWN."""
     if u.params != v.params:
         raise ValueError(f"cannot compare words with parameters {u.params} and {v.params}")
-    rules = rewrite_rules(u.params)
-    start = free_reduce_letters(u.letters + v.inverse().letters)
+    if max_depth < 0 or max_frontier < 0:
+        raise ValueError(
+            f"search budgets must be >= 0, got depth {max_depth} and width {max_frontier}"
+        )
+    coding = _coding(u.params)
+    start = coding.encode(free_reduce_letters(u.letters + v.inverse().letters))
     if not start:
         return ProofResult(PROVEN_EQUAL, (), 1)
-    seen: set[tuple[Letter, ...]] = {start}
-    parent: dict[tuple[Letter, ...], tuple[tuple[Letter, ...], str, int]] = {}
-    frontier: list[tuple[Letter, ...]] = [start]
+    seen: set[Codes] = {start}
+    parent: dict[Codes, tuple[Codes, str, int]] = {}
+    frontier: list[Codes] = [start]
     for _ in range(max_depth):
-        nxt: list[tuple[Letter, ...]] = []
+        nxt: list[Codes] = []
         for node in frontier:
-            for label, pos, out in _successors(node, rules):
+            for label, pos, out in _successors(node, coding):
                 if out in seen:
                     continue
                 seen.add(out)
                 parent[out] = (node, label, pos)
                 if not out:
                     path: list[Step] = []
-                    cur: tuple[Letter, ...] = out
+                    cur: Codes = out
                     while cur != start:
                         prev, lab, p = parent[cur]
                         path.append((lab, p))

@@ -298,6 +298,20 @@ def test_oracle_eq(capsys):
     assert payload["path"] is None
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--depth", "error: search budgets must be >= 0, got depth -1 and width 200000\n"),
+        ("--width", "error: search budgets must be >= 0, got depth 8 and width -1\n"),
+    ],
+)
+def test_oracle_eq_negative_budget_exits_2(capsys, flag, message):
+    assert run(["oracle", "eq", "--n", "3", flag, "-1", "r1", "r1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_output_is_byte_identical(capsys):
     args = ["nf", "--n", "4", "--c", "2", "--word", "r1 s2.2 r3 S1.1"]
     assert run(args) == 0

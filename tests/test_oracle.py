@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uvbraid import (
     Params,
@@ -12,7 +14,8 @@ from uvbraid import (
     replay,
     rewrite_rules,
 )
-from uvbraid.oracle import PROVEN_EQUAL, UNKNOWN, apply_rule
+from uvbraid.oracle import PROVEN_EQUAL, UNKNOWN, _coding, _splice, apply_rule
+from uvbraid.words import alphabet, free_reduce_letters
 
 
 def test_reflexive_at_depth_zero():
@@ -42,6 +45,13 @@ def test_rejects_mixed_params():
         bfs_equal(parse_word("r1", Params(3, 1)), parse_word("r1", Params(4, 1)))
 
 
+@pytest.mark.parametrize("budget", [{"max_depth": -1}, {"max_frontier": -1}])
+def test_rejects_negative_budgets(budget):
+    w = parse_word("r1", Params(3, 1))
+    with pytest.raises(ValueError, match="budgets must be >= 0"):
+        bfs_equal(w, w, **budget)
+
+
 def test_rule_table_labels():
     rules = rewrite_rules(Params(4, 1))
     assert "braid(r1):fwd" in rules
@@ -54,6 +64,45 @@ def test_rule_table_labels():
     assert "slide(S1.1):rev" in rules
     assert "rel(slide(s1.1)):ins" in rules
     assert "rel(slide(s1.1)):del" in rules
+
+
+@pytest.mark.parametrize("n, c", [(1, 1), (2, 2), (4, 1), (5, 2)])
+def test_search_skips_exactly_the_cancelling_pair_insertions(n, c):
+    # an empty pattern whose replacement free-reduces away leaves every
+    # node unchanged, so the search never tries it
+    skipped = {label for label, pattern, rep in _coding(Params(n, c)).rules if not pattern + rep}
+    assert skipped == {label for label in rewrite_rules(Params(n, c)) if label.startswith("ins(")}
+    assert len(skipped) == (n - 1) * (2 * c + 1)
+
+
+@st.composite
+def reduced_words(draw):
+    params = Params(draw(st.integers(2, 5)), draw(st.integers(1, 2)))
+    letters = alphabet(params)
+    codes = draw(st.lists(st.integers(0, len(letters) - 1), max_size=12))
+    # plant some rule's pattern so that deletions and rewrites match too
+    pattern, _ = draw(st.sampled_from(list(rewrite_rules(params).values())))
+    pos = draw(st.integers(0, len(codes)))
+    word = [letters[x] for x in codes]
+    return params, free_reduce_letters(tuple(word[:pos]) + pattern + tuple(word[pos:]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(reduced_words())
+def test_coded_splice_is_the_free_reduced_rewrite(case):
+    params, letters = case
+    coding = _coding(params)
+    decode = alphabet(params)
+    node = coding.encode(letters)
+    rules = rewrite_rules(params)
+    for label, pattern, rep in coding.rules:
+        span = len(pattern)
+        for pos in range(len(node) - span + 1):
+            if node[pos : pos + span] != pattern:
+                continue
+            out = _splice(node, pos, pos + span, rep, coding.inverse)
+            want = free_reduce_letters(apply_rule(letters, rules[label], pos))
+            assert tuple(decode[x] for x in out) == want, (label, pos)
 
 
 def test_apply_rule_validates_position():
