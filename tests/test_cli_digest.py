@@ -16,6 +16,7 @@ import io
 import itertools
 import json
 import os
+import random
 from unittest import mock
 
 import pytest
@@ -55,10 +56,80 @@ ORACLE_PAIRS = {
 }
 # (depth, width): every depth at the CLI's width, then frontier overflow.
 ORACLE_BUDGETS = tuple((d, 300) for d in range(7)) + ((6, 1), (6, 5))
+# Seeded random words and pairs for nf and eq: RANDOM_COUNT at n = 1..8,
+# c = 1..3, then WIDE_COUNT of WIDE_LEN letters at WIDE_NC.
+RANDOM_SEED, RANDOM_COUNT = 20261018, 200
+WIDE_NC, WIDE_LEN, WIDE_COUNT = (20, 3), 600, 3
 
 
 def _nc(n, c):
     return ["--n", str(n), "--c", str(c)]
+
+
+def _tokens(n, c):
+    toks = [f"r{i}" for i in range(1, n)]
+    return toks + [f"{h}{i}.{t}" for i in range(1, n) for t in range(1, c + 1) for h in "sS"]
+
+
+def _inverse(toks):
+    flip = {"s": "S", "S": "s", "r": "r"}
+    return [flip[tok[0]] + tok[1:] for tok in reversed(toks)]
+
+
+def _relators(n, c):
+    """Each defining relator of UV(n, c) as a token list: r_i r_i, the
+    braid, far-commutation and slide relators."""
+    rels = []
+    for i in range(1, n):
+        rels.append([f"r{i}", f"r{i}"])
+        if i + 1 < n:
+            rels.append([f"r{i}", f"r{i + 1}"] * 3)
+        for j in range(i + 2, n):
+            rels.append([f"r{i}", f"r{j}"] * 2)
+            for t in range(1, c + 1):
+                rels.append([f"s{i}.{t}", f"r{j}", f"S{i}.{t}", f"r{j}"])
+                rels.append([f"s{j}.{t}", f"r{i}", f"S{j}.{t}", f"r{i}"])
+                rels += [
+                    [f"s{i}.{t}", f"s{j}.{l}", f"S{i}.{t}", f"S{j}.{l}"] for l in range(1, c + 1)
+                ]
+    for i in range(1, n - 1):
+        for t in range(1, c + 1):
+            rels.append([f"r{i}", f"r{i + 1}", f"s{i}.{t}", f"r{i + 1}", f"r{i}", f"S{i + 1}.{t}"])
+    return rels
+
+
+def random_words():
+    """(n, c, word) for nf: random words at small n, then long ones at WIDE_NC."""
+    rng = random.Random(RANDOM_SEED)
+    out = []
+    for _ in range(RANDOM_COUNT):
+        n, c = rng.randint(1, 8), rng.randint(1, 3)
+        alpha = _tokens(n, c)
+        out.append((n, c, [rng.choice(alpha) for _ in range(rng.randint(0, 30) if alpha else 0)]))
+    alpha = _tokens(*WIDE_NC)
+    out += [(*WIDE_NC, [rng.choice(alpha) for _ in range(WIDE_LEN)]) for _ in range(WIDE_COUNT)]
+    return [(n, c, " ".join(w)) for n, c, w in out]
+
+
+def random_pairs():
+    """(n, c, u, v) for eq: v is u with a conjugated relator inserted, and
+    in every other pair one crossing of v has its sign flipped."""
+    rng = random.Random(RANDOM_SEED + 1)
+    shapes = [(rng.randint(2, 8), rng.randint(1, 3), rng.randint(0, 20)) for _ in range(RANDOM_COUNT)]
+    shapes += [(*WIDE_NC, WIDE_LEN)] * WIDE_COUNT
+    out = []
+    for k, (n, c, length) in enumerate(shapes):
+        alpha = _tokens(n, c)
+        u = [rng.choice(alpha) for _ in range(length)]
+        x = [rng.choice(alpha) for _ in range(rng.randint(0, 2))]
+        pos = rng.randint(0, length)
+        v = u[:pos] + x + rng.choice(_relators(n, c)) + _inverse(x) + u[pos:]
+        crossings = [i for i, tok in enumerate(v) if tok[0] in "sS"]
+        if k % 2 and crossings:
+            i = rng.choice(crossings)
+            v[i] = _inverse([v[i]])[0]
+        out.append((n, c, " ".join(u), " ".join(v)))
+    return out
 
 
 def grid():
@@ -96,6 +167,8 @@ def grid():
     ]
     cases["nf"] = [["nf", *_nc(n, 2), "--word", w] for n in (3, 5) for w in WORDS]
     cases["eq"] = [["eq", *_nc(n, 1), u, v] for n in (3, 4) for u, v in PAIRS]
+    cases["nf random"] = [["nf", *_nc(n, c), "--word", w] for n, c, w in random_words()]
+    cases["eq random"] = [["eq", *_nc(n, c), u, v] for n, c, u, v in random_pairs()]
     return cases
 
 
@@ -125,6 +198,8 @@ GOLDEN = {
     "oracle eq": "80f96c6843c37e72e233374500a1b9684ff8e242ce2138466e035eeba500b618",
     "nf": "a73c930b11999f143b8619cf6c975e27c9311f96bf9d404f812859946113aec0",
     "eq": "d639ae48b060ef6dcaf15a0731d94ffa3d63146d607c01110eeec492745aadac",
+    "nf random": "d3e50247d8176479f9b11d62c6a12acbf97b24c95bd7f12845b8b550f598f47a",
+    "eq random": "4f48663184e36a23afe94d521bd16658df4154e699e7e9a00d0ea768307b60aa",
 }
 
 
