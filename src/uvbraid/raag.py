@@ -16,6 +16,10 @@ inverse letter.  Reading back the smallest piece (in lexicographic
 (i, j, t) order) at the bottom of both its strands, again and again,
 yields a canonical fully-cancelled word: two words are equal in the
 group iff their normal forms are equal letter for letter.
+``reduce_pieces`` runs both passes on pieces given as plain (i, j, t,
+sign) tuples, with stacks only for the strands the word touches, so its
+cost follows the word length and not n; ``normal_form`` is its wrapper
+for a validated ``KWord``.
 
 The certificates read off this graph check their witnesses with
 ``commute``, the colour-blind disjointness of strand pairs, and never
@@ -30,13 +34,16 @@ vertices) is built only to be drawn or counted.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .words import Params
 
 Vertex = tuple[int, int, int]
+# A kernel letter d<i>.<j>.<t>^sign as the plain tuple (i, j, t, sign).
+Piece = tuple[int, int, int, int]
 
 # CommGraph refuses more vertices than this; its adjacency masks take V^2 bits.
 MAX_VERTICES = 10_000
@@ -103,7 +110,7 @@ class KWord:
         return KWord(self.params, self.letters + other.letters)
 
     def inverse(self) -> "KWord":
-        return KWord(self.params, tuple(l.inverse() for l in reversed(self.letters)))
+        return KWord(self.params, tuple([l.inverse() for l in reversed(self.letters)]))
 
     def __str__(self) -> str:
         return " ".join(l.token() for l in self.letters)
@@ -172,8 +179,8 @@ def build_graph(params: Params) -> CommGraph:
     return CommGraph(params)
 
 
-def normal_form(w: KWord) -> KWord:
-    """Canonical representative of w in the right-angled Artin kernel.
+def reduce_pieces(pieces: Sequence[Piece]) -> list[Piece]:
+    """The normal form of a kernel word given as (i, j, t, sign) pieces.
 
     Stacking pass: a letter whose two strand stacks have the same piece
     on top, holding its inverse, cancels that piece; otherwise it is
@@ -181,40 +188,57 @@ def normal_form(w: KWord) -> KWord:
     emit the lexicographically smallest piece at the bottom of both its
     strands.  The result is fully cancelled and every run of
     pairwise-commuting letters appears in (i, j, t) order.
+
+    Only the strands the word touches get a stack.  A piece on top (or
+    at the bottom) of both strands i and j lies on {i, j}, and no other
+    piece on {i, j} can be there too, so the tuple object itself names
+    the piece.  Pieces ready to be read out share no strand, so their
+    source strands i differ and order them as (i, j, t) does: the heap
+    holds source strands, each ready piece being the bottom of its own.
     """
-    strands: list[list[int]] = [[] for _ in range(w.params.n + 1)]
-    pieces = w.letters  # a piece is the position of its letter in w
-    for k, letter in enumerate(pieces):
-        on_i, on_j = strands[letter.i], strands[letter.j]
-        if on_i and on_j and on_i[-1] == on_j[-1]:
-            # The top piece lies on strands {i, j}, so equal i means equal j.
-            top = pieces[on_i[-1]]
-            if (top.i, top.t, top.sign) == (letter.i, letter.t, -letter.sign):
+    strands: defaultdict[int, list[Piece]] = defaultdict(list)
+    for piece in pieces:
+        i, j, t, sign = piece
+        on_i, on_j = strands[i], strands[j]
+        if on_i and on_j:
+            top = on_i[-1]
+            # A top piece shared by strands i and j lies on {i, j}, so
+            # equal i means equal j.
+            if top is on_j[-1] and top[0] == i and top[2] == t and top[3] == -sign:
                 on_i.pop()
                 on_j.pop()
                 continue
-        on_i.append(k)
-        on_j.append(k)
+        on_i.append(piece)
+        on_j.append(piece)
 
-    for stack in strands:
+    for stack in strands.values():
         stack.reverse()  # bottom piece last
-
-    def at_bottom(k: int) -> bool:
-        piece = pieces[k]
-        return strands[piece.i][-1] == k == strands[piece.j][-1]
-
-    ready = [(pieces[k].vertex, k) for k in {s[-1] for s in strands if s} if at_bottom(k)]
+    ready = [
+        s for s, stack in strands.items()
+        if stack and (bottom := stack[-1])[0] == s and strands[bottom[1]][-1] is bottom
+    ]
     heapq.heapify(ready)
-    out: list[KLetter] = []
+    out: list[Piece] = []
     while ready:
-        piece = pieces[heapq.heappop(ready)[1]]
+        on_i = strands[heapq.heappop(ready)]
+        piece = on_i.pop()
         out.append(piece)
-        strands[piece.i].pop()
-        strands[piece.j].pop()
-        for k in {strands[s][-1] for s in (piece.i, piece.j) if strands[s]}:
-            if at_bottom(k):
-                heapq.heappush(ready, (pieces[k].vertex, k))
-    return KWord(w.params, tuple(out))
+        on_j = strands[piece[1]]
+        on_j.pop()
+        # The new bottoms of strands i and j (one piece if it lies on both).
+        p = on_i[-1] if on_i else None
+        if p is not None and strands[p[0]][-1] is p is strands[p[1]][-1]:
+            heapq.heappush(ready, p[0])
+        if on_j and (q := on_j[-1]) is not p and strands[q[0]][-1] is q is strands[q[1]][-1]:
+            heapq.heappush(ready, q[0])
+    return out
+
+
+def normal_form(w: KWord) -> KWord:
+    """Canonical representative of w in the right-angled Artin kernel
+    (see ``reduce_pieces``)."""
+    out = reduce_pieces([(d.i, d.j, d.t, d.sign) for d in w.letters])
+    return KWord(w.params, tuple([KLetter(*piece) for piece in out]))
 
 
 def commute(u: Vertex, v: Vertex) -> bool:

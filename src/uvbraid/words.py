@@ -16,6 +16,12 @@ letter, ``s<i>.<t>`` for a crossing, ``S<i>.<t>`` for its inverse.
 Virtual letters are involutions so they carry no sign; ``R<i>`` is
 accepted on input and normalised to ``r<i>``.  UV(1, c) is trivial by
 convention, the only valid word there is the empty one.
+
+``Letter`` and ``Word`` are the boundary objects: every word is checked
+against its ``Params`` when built.  ``parse_word`` takes each canonical
+token from a per-Params table of letters already checked, and the word
+problem (``semidirect``) reads their fields straight into plain integer
+tuples.
 """
 
 from __future__ import annotations
@@ -111,8 +117,12 @@ class Word:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self) -> None:
+        n, c = self.params.n, self.params.c
         for letter in self.letters:
-            check_letter(letter, self.params)
+            # check_letter's test inlined, as every word built pays it;
+            # check_letter raises with the message.
+            if not 0 < letter.i < n or (letter.kind == SIGMA and not 0 < letter.t <= c):
+                check_letter(letter, self.params)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -128,7 +138,7 @@ class Word:
         return Word(self.params, self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(self.params, tuple(l.inverse() for l in reversed(self.letters)))
+        return Word(self.params, tuple([l.inverse() for l in reversed(self.letters)]))
 
     def __str__(self) -> str:
         return " ".join(l.token() for l in self.letters)
@@ -172,18 +182,35 @@ def _parse_token(tok: str, position: int, params: Params) -> Letter:
     return letter
 
 
+@lru_cache(maxsize=64)
+def _letter_table(params: Params) -> dict[str, Letter]:
+    """Canonical token -> its checked Letter for UV(n, c), filled by
+    ``parse_word`` as tokens are met: at most (n-1)(2c+1) entries."""
+    return {}
+
+
 def parse_word(text: str, params: Params) -> Word:
     """Parse a whitespace-separated token string into a Word.
+
+    A token spelt as its letter's ``token()`` is looked up in a per-Params
+    table of letters already parsed and checked; any other token (``R2``,
+    ``s01.1``, a malformed one) is parsed afresh, so errors and their
+    positions do not depend on what was parsed before.
 
     >>> str(parse_word("r1 s2.1 S1.1", Params(3, 1)))
     'r1 s2.1 S1.1'
     >>> parse_word("R2", Params(3, 1)).letters[0].token()
     'r2'
     """
-    letters = [
-        _parse_token(tok, pos, params)
-        for pos, tok in enumerate(text.split(), start=1)
-    ]
+    table = _letter_table(params)
+    letters: list[Letter] = []
+    for pos, tok in enumerate(text.split(), start=1):
+        letter = table.get(tok)
+        if letter is None:
+            letter = _parse_token(tok, pos, params)
+            if letter.token() == tok:
+                table[tok] = letter
+        letters.append(letter)
     return Word(params, tuple(letters))
 
 
@@ -292,4 +319,4 @@ def random_word(params: Params, rng: Random, max_len: int) -> Word:
     if not pool:
         return Word(params)
     length = rng.randint(0, max_len)
-    return Word(params, tuple(rng.choice(pool) for _ in range(length)))
+    return Word(params, tuple([rng.choice(pool) for _ in range(length)]))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -135,6 +136,21 @@ def test_normal_form_rejects_foreign_letters():
     p = Params(4, 1)
     with pytest.raises(ValueError):
         normal_form(kword(p, D(1, 2, 2)))
+
+
+def test_normal_form_memory_follows_the_word_not_n():
+    # Stacks exist only for the strands a word touches: two letters at
+    # n = 10^6 must not allocate a stack per strand.
+    p = Params(10**6, 1)
+    w = kword(p, D(1, 2, 1), D(10**6, 3, 1, -1))
+    tracemalloc.start()
+    try:
+        nf = normal_form(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nf.letters == (D(1, 2, 1), D(10**6, 3, 1, -1))
+    assert peak < 1_000_000
 
 
 def test_normal_form_idempotent_and_kills_inverses():

@@ -134,6 +134,23 @@ def test_are_equal_is_a_congruence(data):
     assert are_equal(x * u * y, x * v * y) == are_equal(u, v)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_are_equal_and_is_trivial_agree_with_normal_forms(data):
+    # are_equal and is_trivial compare the engine's pieces; the NormalForm
+    # objects must tell the same, with half the pairs equal by a relator
+    p = Params(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)))
+    letters = st.lists(st.sampled_from(alphabet(p)), max_size=12) if p.n > 1 else st.just([])
+    u, v = (Word(p, tuple(data.draw(letters))) for _ in range(2))
+    if p.n > 1 and data.draw(st.booleans()):
+        rel = data.draw(st.sampled_from(relator_words(p)))[1]
+        pos = data.draw(st.integers(0, len(u)))
+        v = Word(p, u.letters[:pos] + rel.letters + u.letters[pos:])
+    assert are_equal(u, v) == (to_normal_form(u) == to_normal_form(v))
+    assert is_trivial(u) == (to_normal_form(u) == to_normal_form(Word(p)))
+    assert is_trivial(u * v.inverse()) == are_equal(u, v)
+
+
 def test_conjugation_relabels_vertices():
     p = Params(4, 2)
     for perm in all_perms(4):

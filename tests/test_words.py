@@ -1,5 +1,6 @@
 import pytest
 
+from uvbraid import words
 from uvbraid import (
     Letter,
     Params,
@@ -89,6 +90,20 @@ def test_parse_rejects_non_ascii_digits_with_position(text):
     assert str(err.value).startswith("token 2: expected")
 
 
+@pytest.mark.parametrize(
+    "letter, message",
+    [
+        (rho(3), "letter index 3 out of range 1..2 for n=3"),
+        (rho(0), "letter index 0 out of range 1..2 for n=3"),
+        (sigma(3, 1), "letter index 3 out of range 1..2 for n=3"),
+        (sigma(1, 2, -1), "crossing colour 2 out of range 1..1 for c=1"),
+    ],
+)
+def test_word_checks_letters_against_params(letter, message):
+    with pytest.raises(ValueError, match=message):
+        Word(Params(3, 1), (rho(1), letter))
+
+
 def test_word_multiplication_checks_params():
     u = parse_word("r1", Params(3, 1))
     v = parse_word("r1", Params(4, 1))
@@ -175,3 +190,60 @@ def test_word_is_hashable_value_object():
     assert parse_word("r1 s1.1", p) == parse_word("r1 s1.1", p)
     assert hash(parse_word("r1", p)) == hash(parse_word("r1", p))
     assert parse_word("r1", p) != parse_word("r2", p)
+
+
+def _parse_outcome(text, p):
+    try:
+        return parse_word(text, p).letters
+    except ParseError as err:
+        return (str(err), err.position)
+
+
+# Tokens parsed afresh whatever the table holds: malformed ones (non-ASCII
+# digits, index 0 or out of range, colour out of range, missing colour,
+# unknown kind) and other spellings of valid letters.
+ODD_TOKENS = (
+    "r\u00b2", "s\u0661.1", "s1.\u00b2", "s01.1", "r01", "r0", "r3", "s3.1", "s1.3", "s0.1",
+    "s1.0", "s1.", "s1", "s.1", "s1.1.1", "x1", "d1.2.1", "R3", "R1", "S01.2",
+)
+
+
+def _warm(p):
+    parse_word(" ".join(letter.token() for letter in alphabet(p)), p)
+
+
+def test_parse_table_cold_and_warm_agree():
+    p = Params(3, 2)
+    texts = [f"r1 {tok} s2.2" for tok in ODD_TOKENS]
+    texts += [" ".join(letter.token() for letter in alphabet(p)), "R2 r2 S1.1 s1.1"]
+    cold = []
+    for text in texts:
+        words._letter_table.cache_clear()
+        cold.append(_parse_outcome(text, p))
+    _warm(p)
+    assert [_parse_outcome(text, p) for text in texts] == cold
+    assert _parse_outcome("r1 x1", p) == ("token 2: unrecognised token 'x1'", 2)
+    assert _parse_outcome("s1.1 r3", p)[1] == 2
+    assert _parse_outcome("R3", Params(4, 1)) == (rho(3),)
+
+
+def test_parse_table_is_per_params():
+    _warm(Params(3, 2))
+    with pytest.raises(ParseError) as err:
+        parse_word("r1 s1.2", Params(3, 1))
+    assert (str(err.value), err.value.position) == (
+        "token 2: crossing colour 2 out of range 1..1 for c=1", 2
+    )
+
+
+def test_parse_table_holds_only_canonical_tokens():
+    p = Params(4, 2)
+    words._letter_table.cache_clear()
+    parse_word("R1 r01 s01.1 S1.02 r1 s3.2 S3.2", p)
+    for tok in ODD_TOKENS:
+        _parse_outcome(tok, p)
+    _warm(p)
+    table = words._letter_table(p)
+    assert sorted(table) == sorted(letter.token() for letter in alphabet(p))
+    assert all(letter.token() == tok for tok, letter in table.items())
+    assert len(table) == (p.n - 1) * (2 * p.c + 1)
