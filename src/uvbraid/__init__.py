@@ -33,17 +33,14 @@ from .perms import (
 )
 from .quotients import OrderCertificate, QuotElem, quotient_image, quotient_order
 from .raag import (
-    CommGraph,
     KLetter,
     KWord,
-    build_graph,
     clique_number,
     dominating_vertices,
     f2xf2_witness,
     is_p3_free,
     max_clique,
     normal_form,
-    parse_kword,
     to_dot,
 )
 from .semidirect import (
@@ -77,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelImage",
     "BudgetExceededError",
-    "CommGraph",
     "HomSpec",
     "KLetter",
     "KWord",
@@ -96,7 +92,6 @@ __all__ = [
     "all_perms",
     "are_equal",
     "bfs_equal",
-    "build_graph",
     "clique_number",
     "color_parity",
     "commutator",
@@ -116,7 +111,6 @@ __all__ = [
     "kletter_to_word",
     "max_clique",
     "normal_form",
-    "parse_kword",
     "parse_word",
     "quotient_image",
     "quotient_order",

@@ -18,7 +18,10 @@ import sys
 
 from . import homs, oracle, quotients, raag, semidirect, verify
 from .perms import strand_permutation, virtual_permutation
-from .words import Params, Word, parse_word
+from .words import Params, parse_word
+
+# ``graph`` refuses more vertices than this; ``dot`` prints V·deg/2 edge lines.
+GRAPH_LIMIT = 10_000
 
 
 def _emit(**fields) -> int:
@@ -26,8 +29,7 @@ def _emit(**fields) -> int:
     return 0
 
 
-def _nf_dict(w: Word) -> dict:
-    nf = semidirect.to_normal_form(w)
+def _nf_dict(nf: semidirect.NormalForm) -> dict:
     return {
         "delta_nf": [letter.token() for letter in nf.kword.letters],
         "perm": list(nf.perm.images),
@@ -36,18 +38,18 @@ def _nf_dict(w: Word) -> dict:
 
 
 def _cmd_nf(args: argparse.Namespace, params: Params) -> int:
-    return _emit(**_nf_dict(parse_word(args.word, params)))
+    return _emit(**_nf_dict(semidirect.to_normal_form(parse_word(args.word, params))))
 
 
 def _cmd_eq(args: argparse.Namespace, params: Params) -> int:
-    u = parse_word(args.left, params)
-    v = parse_word(args.right, params)
-    return _emit(equal=semidirect.are_equal(u, v), left=_nf_dict(u), right=_nf_dict(v))
+    left = semidirect.to_normal_form(parse_word(args.left, params))
+    right = semidirect.to_normal_form(parse_word(args.right, params))
+    return _emit(equal=left == right, left=_nf_dict(left), right=_nf_dict(right))
 
 
 def _cmd_trivial(args: argparse.Namespace, params: Params) -> int:
     w = parse_word(args.word, params)
-    return _emit(trivial=semidirect.is_trivial(w), **_nf_dict(w))
+    return _emit(trivial=semidirect.is_trivial(w), **_nf_dict(semidirect.to_normal_form(w)))
 
 
 def _cmd_pure(args: argparse.Namespace, params: Params) -> int:
@@ -71,16 +73,17 @@ def _cmd_perm(args: argparse.Namespace, params: Params) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace, params: Params) -> int:
-    g = None if params.n == 1 else raag.build_graph(params)
+    n, c = params.n, params.c
+    verts = n * (n - 1) * c
+    if verts > GRAPH_LIMIT:
+        raise ValueError(f"graph needs n(n-1)c <= {GRAPH_LIMIT} vertices, got n={n}, c={c}")
     if args.mode == "dot":
-        sys.stdout.write("graph commutation {\n}\n" if g is None else raag.to_dot(g))
+        sys.stdout.writelines(raag.to_dot(params))
         return 0
-    degrees = [g.degree(v) for v in g.verts] if g is not None else []
+    # Each (i, j, t) commutes with the letters on the other n - 2 strands.
+    degree = (n - 2) * (n - 3) * c if verts else 0
     return _emit(
-        vertices=0 if g is None else len(g.verts),
-        edges=0 if g is None else g.edge_count(),
-        min_degree=min(degrees) if degrees else 0,
-        max_degree=max(degrees) if degrees else 0,
+        vertices=verts, edges=verts * degree // 2, min_degree=degree, max_degree=degree
     )
 
 

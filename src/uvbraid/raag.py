@@ -27,8 +27,8 @@ build it: the clique number floor(n/2) with a matching certificate (for
 cohomological dimension), an induced path (Howson property), a pair of
 joined non-edges spanning F2 x F2 (an obstruction to subgroup
 separability), and the absence of dominating vertices (central
-generators).  The graph itself (``CommGraph``, at most ``MAX_VERTICES``
-vertices) is built only to be drawn or counted.
+generators).  Nothing here builds the graph: ``to_dot`` lists each
+vertex's later neighbours straight from the strands.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .words import Params
@@ -44,9 +43,6 @@ from .words import Params
 Vertex = tuple[int, int, int]
 # A kernel letter d<i>.<j>.<t>^sign as the plain tuple (i, j, t, sign).
 Piece = tuple[int, int, int, int]
-
-# CommGraph refuses more vertices than this; its adjacency masks take V^2 bits.
-MAX_VERTICES = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,19 +112,6 @@ class KWord:
         return " ".join(l.token() for l in self.letters)
 
 
-def parse_kword(text: str, params: Params) -> KWord:
-    letters = []
-    for pos, tok in enumerate(text.split(), start=1):
-        if tok[:1] not in ("d", "D"):
-            raise ValueError(f"token {pos}: expected d<i>.<j>.<t>, got {tok!r}")
-        parts = tok[1:].split(".")
-        if len(parts) != 3 or not tok.isascii() or not all(p.isdigit() for p in parts):
-            raise ValueError(f"token {pos}: expected d<i>.<j>.<t>, got {tok!r}")
-        sign = 1 if tok[0] == "d" else -1
-        letters.append(KLetter(int(parts[0]), int(parts[1]), int(parts[2]), sign))
-    return KWord(params, tuple(letters))
-
-
 def vertices(params: Params) -> Iterator[Vertex]:
     """The kernel letters (i, j, t), i != j, in lexicographic order."""
     n, c = params.n, params.c
@@ -139,44 +122,6 @@ def vertices(params: Params) -> Iterator[Vertex]:
         if i != j
         for t in range(1, c + 1)
     )
-
-
-class CommGraph:
-    """Immutable commutation graph on the kernel generators of UV(n, c)."""
-
-    def __init__(self, params: Params):
-        if params.n < 2:
-            raise ValueError(f"commutation graph needs n >= 2, got n={params.n}")
-        n, c = params.n, params.c
-        if n * (n - 1) * c > MAX_VERTICES:
-            raise ValueError(f"graph needs n(n-1)c <= {MAX_VERTICES} vertices, got n={n}, c={c}")
-        self.params = params
-        self.verts: tuple[Vertex, ...] = tuple(vertices(params))
-        self.index: dict[Vertex, int] = {v: k for k, v in enumerate(self.verts)}
-        # A vertex is adjacent to every vertex touching neither of its strands.
-        touching = [0] * (n + 1)
-        for k, (i, j, _) in enumerate(self.verts):
-            touching[i] |= 1 << k
-            touching[j] |= 1 << k
-        full = (1 << len(self.verts)) - 1
-        self.adj: tuple[int, ...] = tuple(
-            full & ~(touching[i] | touching[j]) for (i, j, _) in self.verts
-        )
-
-    def adjacent(self, u: Vertex, v: Vertex) -> bool:
-        a, b = self.index[u], self.index[v]
-        return bool((self.adj[a] >> b) & 1)
-
-    def edge_count(self) -> int:
-        return sum(bin(m).count("1") for m in self.adj) // 2
-
-    def degree(self, v: Vertex) -> int:
-        return bin(self.adj[self.index[v]]).count("1")
-
-
-@lru_cache(maxsize=None)
-def build_graph(params: Params) -> CommGraph:
-    return CommGraph(params)
 
 
 def reduce_pieces(pieces: Sequence[Piece]) -> list[Piece]:
@@ -318,17 +263,21 @@ def dominating_vertices(params: Params) -> tuple[Vertex, ...]:
     return ()
 
 
-def to_dot(g: CommGraph) -> str:
-    """Deterministic DOT rendering with vertex labels d<i>.<j>.<t>."""
-    lines = ["graph commutation {"]
-    names = [f"d{i}.{j}.{t}" for (i, j, t) in g.verts]
-    for name in names:
-        lines.append(f'  "{name}";')
-    for a in range(len(g.verts)):
-        m = g.adj[a] >> (a + 1) << (a + 1)
-        while m:
-            b = (m & -m).bit_length() - 1
-            lines.append(f'  "{names[a]}" -- "{names[b]}";')
-            m &= m - 1
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def to_dot(params: Params) -> Iterator[str]:
+    """Deterministic DOT rendering with vertex labels d<i>.<j>.<t>, in pieces.
+
+    Each edge is listed at its earlier end: the later neighbours of (i, j, t)
+    in vertex order are the (p, q, s) with p > i and p, q not in {i, j}.
+    """
+    n, colours = params.n, range(1, params.c + 1)
+    yield "graph commutation {\n"
+    yield "".join([f'  "d{i}.{j}.{t}";\n' for i, j, t in vertices(params)])
+    for i, j, t in vertices(params):
+        if t == 1:  # the neighbours do not depend on the colour
+            later = [
+                f'"d{p}.{q}.{s}";\n' for p in range(i + 1, n + 1) if p != j
+                for q in range(1, n + 1) if q not in (i, j, p) for s in colours
+            ]
+        head = f'  "d{i}.{j}.{t}" -- '
+        yield "".join([head + name for name in later])
+    yield "}\n"

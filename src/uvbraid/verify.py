@@ -5,18 +5,21 @@ fixed parameter ranges, using an independent source of truth where one
 exists (closed formulas, the raw-presentation prover, exhaustive
 enumeration).  ``run_all`` returns one result per claim; the CLI
 ``verify-paper`` command renders them and fails if any claim does.
+The library never builds the commutation graph; the claims about it check
+the library at n <= 8 against the bitmask graph built here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Callable
 
 from . import homs, oracle, quotients, raag, semidirect
 from .perms import adjacent, all_perms, rho_word, virtual_permutation
-from .raag import CommGraph, KLetter, build_graph
+from .raag import KLetter, Vertex
 from .semidirect import (
     commutator,
     expand_kword,
@@ -75,7 +78,36 @@ def check_relator_triviality(seed: int) -> tuple[list[str], str]:
     return bad, f"{count} relator instances trivial over n=2..8, c=1..3"
 
 
-def _max_clique_ids(g: CommGraph) -> list[int]:
+class _CommGraph:
+    """The commutation graph on the kernel letters of UV(n, c), as bitmasks."""
+
+    def __init__(self, params: Params):
+        self.params = params
+        self.verts: tuple[Vertex, ...] = tuple(raag.vertices(params))
+        self.index: dict[Vertex, int] = {v: k for k, v in enumerate(self.verts)}
+        # A vertex is adjacent to every vertex touching neither of its strands.
+        touching = [0] * (params.n + 1)
+        for k, (i, j, _) in enumerate(self.verts):
+            touching[i] |= 1 << k
+            touching[j] |= 1 << k
+        full = (1 << len(self.verts)) - 1
+        self.adj: tuple[int, ...] = tuple(
+            full & ~(touching[i] | touching[j]) for (i, j, _) in self.verts
+        )
+
+    def adjacent(self, u: Vertex, v: Vertex) -> bool:
+        return bool((self.adj[self.index[u]] >> self.index[v]) & 1)
+
+    def edge_count(self) -> int:
+        return sum(m.bit_count() for m in self.adj) // 2
+
+
+@lru_cache(maxsize=None)
+def build_graph(params: Params) -> _CommGraph:
+    return _CommGraph(params)
+
+
+def _max_clique_ids(g: _CommGraph) -> list[int]:
     """Exact maximum clique via branch and bound with greedy colouring bounds."""
     adj = g.adj
     best: list[int] = []
@@ -379,7 +411,7 @@ def check_finite_quotients(seed: int) -> tuple[list[str], str]:
     )
 
 
-def _dominating(g: CommGraph) -> tuple[raag.Vertex, ...]:
+def _dominating(g: _CommGraph) -> tuple[Vertex, ...]:
     """Vertices adjacent to every other vertex, by a scan of the masks."""
     full = (1 << len(g.verts)) - 1
     return tuple(v for k, v in enumerate(g.verts) if g.adj[k] == full & ~(1 << k))

@@ -9,7 +9,7 @@ import pytest
 
 import uvbraid
 from uvbraid.cli import run
-from uvbraid.raag import build_graph
+from uvbraid.verify import build_graph
 
 from test_raag import vertices_commute
 
@@ -70,6 +70,21 @@ def test_graph_commands_refuse_large_inputs(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: graph needs n(n-1)c <= 10000 vertices, got n={n}, c={c}\n"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("c", (1, 2, 3))
+def test_graph_stats_match_mask_graph(capsys, n, c):
+    g = build_graph(uvbraid.Params(n, c))
+    degrees = [m.bit_count() for m in g.adj] or [0]
+    payload = run_json(capsys, ["graph", "stats", "--n", str(n), "--c", str(c)])
+    assert payload == {
+        "schema": 1,
+        "vertices": len(g.verts),
+        "edges": g.edge_count(),
+        "min_degree": min(degrees),
+        "max_degree": max(degrees),
+    }
 
 
 @pytest.mark.parametrize("command", ["vcd", "howson", "lerf-witness", "center-witness"])

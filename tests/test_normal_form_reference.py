@@ -3,7 +3,7 @@
 ``piling_normal_form`` is the earlier engine: one pile per generator, a
 blocking marker pushed onto every non-commuting pile, and a read-out
 that scans the piles in vertex order.  Its commutation table is built
-pairwise here, independently of ``CommGraph``.
+pairwise here, independently of the bitmask graph in ``uvbraid.verify``.
 """
 
 import random
@@ -19,12 +19,12 @@ from uvbraid import (
     Params,
     Word,
     are_equal,
-    build_graph,
     normal_form,
     parse_word,
     random_word,
     relator_words,
 )
+from uvbraid.verify import build_graph
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 

@@ -1,0 +1,21 @@
+"""The package's public surface: ``__all__`` lists exactly its public names."""
+
+import inspect
+
+import uvbraid
+
+
+def test_all_is_exactly_the_public_names():
+    public = {
+        name
+        for name, value in vars(uvbraid).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert len(set(uvbraid.__all__)) == len(uvbraid.__all__)
+    assert set(uvbraid.__all__) == public
+
+
+def test_star_import_resolves_every_name():
+    namespace: dict = {}
+    exec("from uvbraid import *", namespace)
+    assert set(uvbraid.__all__) <= set(namespace)
