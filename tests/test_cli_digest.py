@@ -169,6 +169,18 @@ def grid():
     cases["eq"] = [["eq", *_nc(n, 1), u, v] for n in (3, 4) for u, v in PAIRS]
     cases["nf random"] = [["nf", *_nc(n, c), "--word", w] for n, c, w in random_words()]
     cases["eq random"] = [["eq", *_nc(n, c), u, v] for n, c, u, v in random_pairs()]
+    # u v^-1 over the eq pairs is trivial exactly when the pair is equal
+    cases["trivial"] = (
+        [["trivial", *_nc(n, 2), "--word", w] for n in (3, 5) for w in WORDS]
+        + [
+            ["trivial", *_nc(n, c), "--word", " ".join(rel)]
+            for n in (3, 4) for c in (1, 2) for rel in _relators(n, c)
+        ]
+        + [
+            ["trivial", *_nc(n, c), "--word", " ".join(u.split() + _inverse(v.split()))]
+            for n, c, u, v in random_pairs()
+        ]
+    )
     return cases
 
 
@@ -200,6 +212,7 @@ GOLDEN = {
     "eq": "d639ae48b060ef6dcaf15a0731d94ffa3d63146d607c01110eeec492745aadac",
     "nf random": "d3e50247d8176479f9b11d62c6a12acbf97b24c95bd7f12845b8b550f598f47a",
     "eq random": "4f48663184e36a23afe94d521bd16658df4154e699e7e9a00d0ea768307b60aa",
+    "trivial": "f87b519a6fbcb12b9cdfebb6822620cd60a4b111592627c2898ebf48094c19c5",
 }
 
 
