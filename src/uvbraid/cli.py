@@ -48,8 +48,8 @@ def _cmd_eq(args: argparse.Namespace, params: Params) -> int:
 
 
 def _cmd_trivial(args: argparse.Namespace, params: Params) -> int:
-    w = parse_word(args.word, params)
-    return _emit(trivial=semidirect.is_trivial(w), **_nf_dict(semidirect.to_normal_form(w)))
+    nf = semidirect.to_normal_form(parse_word(args.word, params))
+    return _emit(trivial=not nf.kword.letters and nf.perm.is_identity, **_nf_dict(nf))
 
 
 def _cmd_pure(args: argparse.Namespace, params: Params) -> int:

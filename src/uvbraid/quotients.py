@@ -10,9 +10,9 @@ For d >= 2 the image is the whole group of order d^c * n!, strictly
 larger than n!, so UV(n, c) has finite quotients bigger than the
 symmetric group.  ``quotient_order`` certifies surjectivity either by
 closing the generator images under multiplication (small groups; a
-breadth-first walk over flat (vector code, image tuple) pairs) or by
-exhibiting the vector units and virtual transpositions inside the
-image (any size).
+breadth-first walk over integer element ids, each permutation's moves
+computed once) or by exhibiting the vector units and virtual
+transpositions inside the image (any size).
 """
 
 from __future__ import annotations
@@ -70,23 +70,41 @@ def _closure(params: Params, d: int) -> list[tuple[int, tuple[int, ...]]]:
     The code is the vector's index in ``itertools.product(range(d), repeat=c)``.
     A generator acts by a shift table over the codes and an ``itemgetter``
     composing with its transposition; equal images (s, S at d = 2) count once.
+    The walk runs on integer ids ``pid * d^c + code``: a permutation gets its
+    pid when it is first met, and its moves under the distinct generators
+    (the successor pid and the shift table) are computed once, when its
+    first element leaves the queue.
     """
     vecs = list(itertools.product(range(d), repeat=params.c))
+    size = len(vecs)
     index = {vec: k for k, vec in enumerate(vecs)}
     gens = {}
     for letter in alphabet(params):
         img = _letter_image(letter, params, d)
         shift = tuple(index[tuple((x + y) % d for x, y in zip(vec, img.vec))] for vec in vecs)
         gens[shift, img.perm.images] = shift, itemgetter(*(y - 1 for y in img.perm.images))
-    reached = [(0, identity(params.n).images)]
-    seen = set(reached)
-    for code, perm in reached:  # the list grows while it is walked
-        for shift, swap in gens.values():
-            prod = shift[code], swap(perm)
+    perms = [identity(params.n).images]  # pid -> image tuple
+    pid_of = {perms[0]: 0}
+    moves: list[list[tuple[int, tuple[int, ...]]]] = []  # pid -> (successor id base, shift)
+    reached = [0]
+    seen = {0}
+    for elem in reached:  # the list grows while it is walked
+        pid, code = divmod(elem, size)
+        if pid == len(moves):  # pids leave the queue in the order they were met
+            row = []
+            for shift, swap in gens.values():
+                perm = swap(perms[pid])
+                if perm not in pid_of:
+                    pid_of[perm] = len(perms)
+                    perms.append(perm)
+                row.append((pid_of[perm] * size, shift))
+            moves.append(row)
+        for base, shift in moves[pid]:
+            prod = base + shift[code]
             if prod not in seen:
                 seen.add(prod)
                 reached.append(prod)
-    return reached
+    return [(elem % size, perms[elem // size]) for elem in reached]
 
 
 @dataclass(frozen=True)

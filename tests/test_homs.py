@@ -248,24 +248,37 @@ def test_enumerate_homs_budget_covers_building_the_target(monkeypatch):
 def test_enumerate_homs_checks_time_before_each_full_assignment(monkeypatch):
     import uvbraid.homs
 
-    # a fake clock that only advances while a full assignment is verified
+    # a fake clock that only advances while a full assignment is kept
     now = 0.0
     calls = 0
-    real_verify = uvbraid.homs.verify_homspec
+    real_homspec = uvbraid.homs._homspec
 
-    def slow_verify(h, params):
+    def slow_homspec(m, perms, n):
         nonlocal now, calls
         calls += 1
         now += 1.0
-        return real_verify(h, params)
+        return real_homspec(m, perms, n)
 
     monkeypatch.setattr(uvbraid.homs, "time", SimpleNamespace(monotonic=lambda: now))
-    monkeypatch.setattr(uvbraid.homs, "verify_homspec", slow_verify)
+    monkeypatch.setattr(uvbraid.homs, "_homspec", slow_homspec)
     p = Params(6, 6)
     with pytest.raises(BudgetExceededError, match="time budget") as err:
         enumerate_homs(p, 3, SearchBudget(max_seconds=2.5))
     assert calls <= 3
-    assert all(real_verify(h, p)[0] for h in err.value.partial)
+    assert err.value.partial
+    assert all(verify_homspec(h, p)[0] for h in err.value.partial)
+
+
+def test_enumerate_homs_never_calls_verify_homspec(monkeypatch):
+    import uvbraid.homs
+
+    # the search checks each relation once on the way down, so nothing is re-verified
+    def refuse(h, params):
+        raise AssertionError("enumerate_homs re-verified a full assignment")
+
+    monkeypatch.setattr(uvbraid.homs, "verify_homspec", refuse)
+    assert len(enumerate_homs(Params(5, 1), 3)) == 12
+    assert len(enumerate_homs(Params(4, 2), 3)) == 54
 
 
 @lru_cache(maxsize=None)

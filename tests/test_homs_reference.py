@@ -16,7 +16,6 @@ from typing import Optional
 
 import pytest
 
-import uvbraid.homs
 from uvbraid import (
     BudgetExceededError,
     HomSpec,
@@ -224,18 +223,13 @@ def test_verify_labels_match_word_folding_reference():
     assert labels == {None, "braid", "comm", "invol", "slide"}
 
 
-@pytest.mark.parametrize("n,c,m", [(4, 2, 3), (5, 1, 4), (6, 6, 2)])
-def test_no_full_assignment_fails_verification(n, c, m, monkeypatch):
-    # the search checks every relation on the way down, so the final
-    # verification never rejects what reaches it
-    results = []
-    real_verify = uvbraid.homs.verify_homspec
-
-    def recording_verify(h, params):
-        results.append(real_verify(h, params))
-        return results[-1]
-
-    monkeypatch.setattr(uvbraid.homs, "verify_homspec", recording_verify)
-    found = enumerate_homs(Params(n, c), m)
-    assert results and len(results) == len(found)
-    assert all(ok for ok, _ in results)
+@pytest.mark.parametrize(
+    "n,c,m", [(4, 2, 3), (5, 1, 4), (6, 6, 2), (5, 1, 3), (6, 6, 3)]
+)
+def test_no_full_assignment_fails_verification(n, c, m):
+    # the search keeps full assignments without a final check; the
+    # reference search re-verifies each one before keeping it
+    p = Params(n, c)
+    found = enumerate_homs(p, m)
+    assert all(verify_homspec(h, p) == (True, None) for h in found)
+    assert found == reference_enumerate_homs(p, m)

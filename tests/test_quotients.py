@@ -157,9 +157,10 @@ def reference_closure(params, d):
     return reached
 
 
-@pytest.mark.parametrize("n", range(2, 6))
-@pytest.mark.parametrize("c", (1, 2))
-@pytest.mark.parametrize("d", (2, 3))
+# every small case, then the 2,160 elements at n = 6, c = 1, d = 3
+@pytest.mark.parametrize(
+    "d,c,n", [(d, c, n) for d in (2, 3) for c in (1, 2) for n in range(2, 6)] + [(3, 1, 6)]
+)
 def test_flat_closure_matches_qmul_closure(n, c, d):
     params = Params(n, c)
     vecs = list(itertools.product(range(d), repeat=c))
