@@ -36,6 +36,10 @@ WORDS = ("", "r1 s2.1", "r1 s2.1 r1 S3.2 r2 s1.1", "r3 s1.2 S1.2 r3 s2.1 r1 r2",
 PAIRS = (("r1 s2.1 r1", "r2 s1.1 r2"), ("r1 s1.1", "s1.1 r1"), ("s1.1 S1.1", ""))
 PHI_WORD = "r1 s1.1 r1 S1.1 s1.1"
 BUDGET_CASES = (("6", "6", "3", "300"), ("5", "2", "4", "100"), ("5", "1", "5", "2000"))
+# (n, c, m) with m = 4 or 5, then node budgets: (5, 1, 4) needs exactly 1,270
+# nodes, and (5, 1, 5) needs 28,934, of which its class representatives take 2,869.
+M45_CASES = ((5, 1, 5), (6, 1, 5), (5, 2, 4), (4, 2, 4), (7, 1, 4), (6, 2, 4))
+M45_BUDGETS = ((5, 1, 4, 1269), (5, 1, 4, 1270), (5, 1, 5, 10000))
 # Per strand count: the README pair, a pair equal by one relator inserted
 # inside another, and a pair made unequal by one flipped crossing; {c} is
 # the colour.  UV(1, c) has no letters, so its second pair is refused, and
@@ -159,6 +163,12 @@ def grid():
         ["hom", "enumerate", "--n", n, "--c", c, "--m", m, "--max-nodes", nodes]
         for n, c, m, nodes in BUDGET_CASES
     ]
+    cases["hom enumerate m4-5"] = [
+        ["hom", "enumerate", *_nc(n, c), "--m", str(m)] for n, c, m in M45_CASES
+    ] + [
+        ["hom", "enumerate", *_nc(n, c), "--m", str(m), "--max-nodes", str(nodes)]
+        for n, c, m, nodes in M45_BUDGETS
+    ]
     cases["oracle eq"] = [
         ["oracle", "eq", *_nc(n, c), "--depth", str(d), "--width", str(w),
          u.format(c=c), v.format(c=c)]
@@ -205,6 +215,7 @@ GOLDEN = {
     "quot order": "2e4f2b5416bca8dca3ae10f25daa52dde1a5781b02124341ff4a832f88661e12",
     "quot eval": "01f6a319cac6346348aa6a5936d41db2925aaf0182d571b9ff6ebd4f3ec1961b",
     "hom enumerate": "90d66f84a29e3984b115594e8e254b39c19f71044f5dd2b1f6443b9790556441",
+    "hom enumerate m4-5": "7c21118c4d874981e052486af447fda922fbbee90a8643f9c742c3b635456e38",
     "hom enumerate budget": "ccdd454bd88eea912990f02ec48a9a4b6476f14aeafc047be67971fc098866fa",
     "hom phi": "72472ff63f0c9ebe8143c801a423884531c4ae6039f81593fb50b5a739419817",
     "oracle eq": "80f96c6843c37e72e233374500a1b9684ff8e242ce2138466e035eeba500b618",
