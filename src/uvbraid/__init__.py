@@ -25,7 +25,6 @@ from .oracle import ProofResult, bfs_equal, replay, rewrite_rules
 from .perms import (
     Perm,
     all_perms,
-    compose,
     identity,
     rho_word,
     strand_permutation,
@@ -95,7 +94,6 @@ __all__ = [
     "clique_number",
     "color_parity",
     "commutator",
-    "compose",
     "defining_relations",
     "dominating_vertices",
     "enumerate_homs",

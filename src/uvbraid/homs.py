@@ -11,8 +11,11 @@ column by column, where the slide relations force every image beyond
 the first row.  Each relation is checked once, when its last generator
 is assigned; the involution and slide relations hold by construction
 and are not checked at all, so a full assignment is kept as it stands.
-Budgets are node count plus wall clock; exceeding one raises, never
-truncates silently.
+The search runs up to conjugation in S_m: r1 is tried only on one
+involution per conjugacy class, and the homomorphisms found there are
+conjugated onto every other involution of that class.  Budgets are node
+count plus wall clock, with the node count that of the plain search
+over every involution; exceeding one raises, never truncates silently.
 
 The on/off family ``hom_from_bits`` is indexed by c+1 bits: bit t
 sends every colour-t crossing to its adjacent transposition or to the
@@ -32,7 +35,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 from .perms import Perm, adjacent, all_perms, identity
 from .words import SIGMA, Params, Word, defining_relations
@@ -248,6 +251,28 @@ class BudgetExceededError(RuntimeError):
         self.partial = partial
 
 
+class _NodesSpent(Exception):
+    """The node budget ran out inside ``enumerate_homs``."""
+
+
+def _class_representatives(m: int) -> list[Image]:
+    """One involution of S_m per conjugacy class: (0 1)(2 3)...(2k-2 2k-1)."""
+    return [
+        tuple(x ^ 1 if x < 2 * k else x for x in range(m)) for k in range(m // 2 + 1)
+    ]
+
+
+def _conjugator(y: Image) -> tuple[int, Image]:
+    """(k, g) with g x_k g^-1 = y for the class representative x_k of y.
+
+    g sends x_k's 2-cycles (2i 2i+1), and then its fixed points, in order
+    onto y's 2-cycles (a b), a < b, and then y's fixed points.
+    """
+    pairs = [(a, b) for a, b in enumerate(y) if a < b]
+    fixed = [a for a, b in enumerate(y) if a == b]
+    return len(pairs), tuple([x for pair in pairs for x in pair] + fixed)
+
+
 def enumerate_homs(
     params: Params, m: int, budget: Optional[SearchBudget] = None
 ) -> list[HomSpec]:
@@ -262,8 +287,24 @@ def enumerate_homs(
     and ``slide(s<i>.<t>)``, which hold by construction.  One node is
     spent per involution or S_m element tried; forced images are free.
     A full assignment has passed every relation on the way down, so it
-    is kept without a final ``verify_homspec``; the clock is checked
-    before each one is kept.
+    is kept without a final ``verify_homspec``.
+
+    The search runs up to conjugation in S_m.  Conjugating by g maps
+    homomorphisms to homomorphisms, and the search subtree under
+    r1 = x onto the one under r1 = g x g^-1.  So r1 is tried only on the
+    class representatives x_k = (0 1)(2 3)...(2k-2 2k-1), and for each
+    involution y the homomorphisms H_x found under its representative x
+    are conjugated to g H_x g^-1 by the g of ``_conjugator``.  The plain
+    search, with r1 over every involution, spends exactly
+    |involutions| + sum_x |class(x)| * sub(x) nodes, where sub(x) is the
+    node count under r1 = x.  If the representative searches exceed
+    ``max_nodes``, or that total does, the plain search runs instead, so
+    a node budget error carries the same message and partial list as
+    the plain search alone would.
+
+    The clock is checked once the relation table is built, every 256
+    nodes, before each full assignment is kept and before each
+    conjugated homomorphism is built.
     """
     if m < 1:
         raise ValueError(f"target degree must be >= 1, got m={m}")
@@ -293,9 +334,7 @@ def enumerate_homs(
         nonlocal nodes
         nodes += 1
         if nodes > budget.max_nodes:
-            raise BudgetExceededError(
-                f"node budget {budget.max_nodes} exceeded", sorted_homs(found)
-            )
+            raise _NodesSpent
         if nodes % 256 == 0:
             check_time()
 
@@ -312,16 +351,24 @@ def enumerate_homs(
         # virtual images are involutions and forced crossings are slides by construction
         if not label.startswith(("invol(", "slide(")):
             completes[max(lhs + rhs)].append((lhs, rhs))
+    check_time()
 
     def holds(k: int) -> bool:
         return all(
             _product(lhs, imgs, one) == _product(rhs, imgs, one) for lhs, rhs in completes[k]
         )
 
+    def keep(images: tuple[Image, ...]) -> None:
+        found.append(_homspec(m, [perm_of[g] for g in images], n))
+
+    # r1's candidates, and where a full assignment goes: rebound per search below
+    firsts: list[Image] = involutions
+    leaf: Callable[[tuple[Image, ...]], None] = keep
+
     def assign(k: int) -> None:
         if k == len(imgs):
             check_time()
-            found.append(_homspec(m, [perm_of[g] for g in imgs], n))
+            leaf(tuple(imgs))
             return
         row = k % (n - 1)
         if k >= n - 1 and row:
@@ -330,13 +377,39 @@ def enumerate_homs(
             if holds(k):
                 assign(k + 1)
             return
-        for g in (involutions if k < n - 1 else sym):
+        for g in (firsts if k == 0 else involutions if k < n - 1 else sym):
             spend()
             imgs[k] = g
             if holds(k):
                 assign(k + 1)
 
-    assign(0)
+    reps: list[tuple[list[tuple[Image, ...]], int]] = []  # (H_x, sub(x)) per representative
+    try:
+        for x in _class_representatives(m):
+            rep_homs: list[tuple[Image, ...]] = []
+            firsts, leaf, before = [x], rep_homs.append, nodes
+            assign(0)
+            reps.append((rep_homs, nodes - before - 1))
+        classes = [_conjugator(y) for y in involutions]
+        fits = len(involutions) + sum(reps[k][1] for k, _ in classes) <= budget.max_nodes
+    except _NodesSpent:
+        fits = False
+    if not fits:
+        # the plain search, whose node budget error is the one to report
+        nodes, firsts, leaf = 0, involutions, keep
+        try:
+            assign(0)
+        except _NodesSpent:
+            raise BudgetExceededError(
+                f"node budget {budget.max_nodes} exceeded", sorted_homs(found)
+            ) from None
+        return sorted_homs(found)
+    for k, g in classes:
+        inverse = tuple(sorted(range(m), key=g.__getitem__))
+        for images in reps[k][0]:
+            check_time()
+            # g a g^-1 sends z to g(a(g^-1(z)))
+            keep(tuple(tuple(g[a[z]] for z in inverse) for a in images))
     return sorted_homs(found)
 
 

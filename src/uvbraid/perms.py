@@ -1,9 +1,9 @@
 """Permutations of strand positions and the two projections to S_n.
 
 Permutations are stored as 1-based image tuples: ``p.images[k-1]`` is the
-image of point k.  The product is ordinary composition,
-``compose(a, b)(x) == a(b(x))``, and a word's permutation is the left to
-right fold of its letters under this product.
+image of point k.  The product a*b is ordinary composition, mapping x to
+a(b(x)), and a word's permutation is the left to right fold of its
+letters under this product.
 
 ``strand_permutation`` sends every letter of a word to the adjacent
 transposition of its index; ``virtual_permutation`` does the same but
@@ -94,17 +94,6 @@ def transposition(n: int, a: int, b: int) -> Perm:
 def adjacent(n: int, i: int) -> Perm:
     """The adjacent transposition (i i+1) in S_n."""
     return transposition(n, i, i + 1)
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """The product a*b, mapping x to a(b(x)).
-
-    >>> compose(Perm((2, 1, 3)), Perm((1, 3, 2))).cycle_string()
-    '(1 2 3)'
-    """
-    if a.n != b.n:
-        raise ValueError(f"cannot compose permutations of 1..{a.n} and 1..{b.n}")
-    return Perm(tuple(a.images[y - 1] for y in b.images))
 
 
 def all_perms(n: int) -> Iterator[Perm]:

@@ -9,10 +9,10 @@ crossing exponent sums of the abelianisation.
 For d >= 2 the image is the whole group of order d^c * n!, strictly
 larger than n!, so UV(n, c) has finite quotients bigger than the
 symmetric group.  ``quotient_order`` certifies surjectivity either by
-closing the generator images under multiplication (small groups; a
-breadth-first walk over integer element ids, each permutation's moves
-computed once) or by exhibiting the vector units and virtual
-transpositions inside the image (any size).
+closing the images of r1..r<n-1> and s1.1..s1.c under multiplication
+(small groups; a breadth-first walk over integer element ids, each
+permutation's moves computed once) or by exhibiting the vector units and
+virtual transpositions inside the image (any size).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 
 from .homs import abelianize
 from .perms import Perm, adjacent, identity, strand_permutation
-from .words import SIGMA, Letter, Params, Word, alphabet, rho, sigma, word
+from .words import SIGMA, Letter, Params, Word, rho, sigma, word
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,24 +65,28 @@ def quotient_image(w: Word, d: int) -> QuotElem:
 
 def _closure(params: Params, d: int) -> list[tuple[int, tuple[int, ...]]]:
     """The elements reached from the identity by right multiplication with
-    the generator images, breadth first, as (vector code, image tuple).
+    the images of r1..r<n-1> and s1.1..s1.c, breadth first, as (vector
+    code, image tuple).
 
+    These images generate (Z/d)^c x S_n: the r<i> give S_n, and
+    s1.t r1 is the unit (unit_t, 1).  The other crossings' images are
+    products of these, so walking them too reaches nothing new.
     The code is the vector's index in ``itertools.product(range(d), repeat=c)``.
     A generator acts by a shift table over the codes and an ``itemgetter``
-    composing with its transposition; equal images (s, S at d = 2) count once.
-    The walk runs on integer ids ``pid * d^c + code``: a permutation gets its
-    pid when it is first met, and its moves under the distinct generators
-    (the successor pid and the shift table) are computed once, when its
-    first element leaves the queue.
+    composing with its transposition.  The walk runs on integer ids
+    ``pid * d^c + code``: a permutation gets its pid when it is first met,
+    and its moves (the successor pid and the shift table per generator)
+    are computed once, when its first element leaves the queue.
     """
     vecs = list(itertools.product(range(d), repeat=params.c))
     size = len(vecs)
     index = {vec: k for k, vec in enumerate(vecs)}
-    gens = {}
-    for letter in alphabet(params):
+    letters = [rho(i) for i in range(1, params.n)] + [sigma(1, t) for t in range(1, params.c + 1)]
+    gens = []
+    for letter in letters:
         img = _letter_image(letter, params, d)
         shift = tuple(index[tuple((x + y) % d for x, y in zip(vec, img.vec))] for vec in vecs)
-        gens[shift, img.perm.images] = shift, itemgetter(*(y - 1 for y in img.perm.images))
+        gens.append((shift, itemgetter(*(y - 1 for y in img.perm.images))))
     perms = [identity(params.n).images]  # pid -> image tuple
     pid_of = {perms[0]: 0}
     moves: list[list[tuple[int, tuple[int, ...]]]] = []  # pid -> (successor id base, shift)
@@ -92,7 +96,7 @@ def _closure(params: Params, d: int) -> list[tuple[int, tuple[int, ...]]]:
         pid, code = divmod(elem, size)
         if pid == len(moves):  # pids leave the queue in the order they were met
             row = []
-            for shift, swap in gens.values():
+            for shift, swap in gens:
                 perm = swap(perms[pid])
                 if perm not in pid_of:
                     pid_of[perm] = len(perms)
@@ -119,8 +123,9 @@ def quotient_order(params: Params, d: int, closure_limit: int = 20_000) -> Order
     """Order d^c * n! of the quotient, with a surjectivity certificate.
 
     Up to ``closure_limit`` elements the certificate is the closure of
-    the generator images under multiplication (a finite submonoid is a
-    subgroup, so reaching every element proves surjectivity).  Beyond
+    the images of r1..r<n-1> and s1.1..s1.c under multiplication (a
+    finite submonoid is a subgroup, so reaching every element proves
+    that these n-1+c images alone generate the group).  Beyond
     that, the units (unit_t, 1) = image(s<1>.<t>) * image(r1)^-1 and
     the transpositions (0, (i i+1)) = image(r<i>) are checked to lie in
     the image; together they generate the whole group.

@@ -25,8 +25,10 @@ from uvbraid import (
     verify_homspec,
 )
 from uvbraid.homs import check_bits, has_abelian_image
-from uvbraid.perms import compose, transposition
+from uvbraid.perms import transposition
 from uvbraid.words import alphabet
+
+from perm_reference import compose
 
 
 def test_hom_from_bits_images():
@@ -267,6 +269,35 @@ def test_enumerate_homs_checks_time_before_each_full_assignment(monkeypatch):
     assert calls <= 3
     assert err.value.partial
     assert all(verify_homspec(h, p)[0] for h in err.value.partial)
+
+
+def test_enumerate_homs_budget_covers_the_relation_table(monkeypatch):
+    import uvbraid.homs
+
+    # a fake clock that only advances while the relation table is built
+    now = 0.0
+    products = 0
+    real_table, real_product = uvbraid.homs._relation_table, uvbraid.homs._product
+
+    def slow_table(params):
+        nonlocal now
+        now += 1.0
+        return real_table(params)
+
+    def counting_product(*args):
+        nonlocal products
+        products += 1
+        return real_product(*args)
+
+    monkeypatch.setattr(uvbraid.homs, "time", SimpleNamespace(monotonic=lambda: now))
+    monkeypatch.setattr(uvbraid.homs, "_relation_table", slow_table)
+    monkeypatch.setattr(uvbraid.homs, "_product", counting_product)
+    with pytest.raises(BudgetExceededError, match="time budget") as err:
+        enumerate_homs(Params(5, 1), 3, SearchBudget(max_seconds=0.5))
+    assert err.value.partial == []
+    # the second node tried (r2) checks braid(r1, r2), so no relation
+    # evaluated means the search never got past its first node
+    assert products == 0
 
 
 def test_enumerate_homs_never_calls_verify_homspec(monkeypatch):

@@ -27,7 +27,9 @@ from uvbraid import (
     verify_homspec,
 )
 from uvbraid.homs import _check_shape, sorted_homs
-from uvbraid.perms import all_perms, compose
+from uvbraid.perms import all_perms
+
+from perm_reference import compose
 
 
 def reference_verify_homspec(h: HomSpec, params: Params) -> tuple[bool, Optional[str]]:
@@ -176,18 +178,30 @@ def test_enumeration_matches_reference(n, c, m):
     assert all(verify_homspec(h, p) == (True, None) for h in found)
 
 
+# (5, 1, 4) needs exactly 1,270 nodes.  At (5, 1, 5) the class
+# representatives of r1's image need 2,869 nodes and the whole search
+# 28,934, so 10,000 lets the representatives finish and then falls back.
 @pytest.mark.parametrize(
-    "n,c,m,max_nodes", [(6, 6, 3, 300), (5, 2, 4, 100), (5, 1, 5, 2000), (4, 2, 3, 50)]
+    "n,c,m,max_nodes",
+    [
+        (6, 6, 3, 300), (5, 2, 4, 100), (5, 1, 5, 2000), (4, 2, 3, 50),
+        (5, 1, 4, 1269), (5, 1, 4, 1270), (5, 1, 5, 10000),
+    ],
 )
 def test_node_budget_stops_where_the_reference_stops(n, c, m, max_nodes):
     p = Params(n, c)
     budget = SearchBudget(max_nodes=max_nodes, max_seconds=60.0)
-    with pytest.raises(BudgetExceededError) as ours:
-        enumerate_homs(p, m, budget)
-    with pytest.raises(BudgetExceededError) as ref:
-        reference_enumerate_homs(p, m, budget)
-    assert ours.value.partial == ref.value.partial
-    assert str(ours.value) == str(ref.value)
+
+    def outcome(search):
+        try:
+            return "ok", search(p, m, budget)
+        except BudgetExceededError as exc:
+            return str(exc), exc.partial
+
+    ours = outcome(enumerate_homs)
+    assert ours == outcome(reference_enumerate_homs)
+    # only the exact node count completes
+    assert (ours[0] == "ok") == (max_nodes == 1270)
 
 
 def _random_spec(rng: random.Random, p: Params, m: int, pool: list) -> HomSpec:

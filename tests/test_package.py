@@ -19,3 +19,9 @@ def test_star_import_resolves_every_name():
     namespace: dict = {}
     exec("from uvbraid import *", namespace)
     assert set(uvbraid.__all__) <= set(namespace)
+
+
+def test_test_only_helpers_are_not_exported():
+    # the tests keep their own permutation product in tests/perm_reference.py
+    assert "compose" not in uvbraid.__all__
+    assert not hasattr(uvbraid.perms, "compose")

@@ -9,7 +9,6 @@ from uvbraid import (
     Params,
     Perm,
     all_perms,
-    compose,
     identity,
     parse_word,
     rho_word,
@@ -17,6 +16,8 @@ from uvbraid import (
     virtual_permutation,
 )
 from uvbraid.perms import adjacent, transposition
+
+from perm_reference import compose
 
 
 def test_doctests():

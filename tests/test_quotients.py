@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -17,9 +18,10 @@ from uvbraid import (
     random_word,
     relator_words,
 )
-from uvbraid.perms import compose
 from uvbraid.quotients import _closure, _letter_image, quotient_identity
-from uvbraid.words import alphabet
+from uvbraid.words import alphabet, rho, sigma
+
+from perm_reference import compose
 
 
 def qmul(a, b):
@@ -143,9 +145,9 @@ def test_quotient_order_closure_certificate():
     assert cert.order > cert.n_factorial
 
 
-def reference_closure(params, d):
-    """Breadth-first closure of the generator images under ``qmul``."""
-    gens = [quotient_image(Word(params, (letter,)), d) for letter in alphabet(params)]
+def reference_closure(params, d, letters):
+    """Breadth-first closure of the letters' images under ``qmul``."""
+    gens = [quotient_image(Word(params, (letter,)), d) for letter in letters]
     reached = [quotient_identity(params, d)]
     seen = set(reached)
     for elem in reached:
@@ -165,10 +167,18 @@ def test_flat_closure_matches_qmul_closure(n, c, d):
     params = Params(n, c)
     vecs = list(itertools.product(range(d), repeat=c))
     flat = [(vecs[code], perm) for code, perm in _closure(params, d)]
-    reference = [(elem.vec, elem.perm.images) for elem in reference_closure(params, d)]
-    assert set(flat) == set(reference)
-    # the same breadth-first order too, which pins each generator's sign
+    generators = [rho(i) for i in range(1, n)] + [sigma(1, t) for t in range(1, c + 1)]
+    reference = [
+        (elem.vec, elem.perm.images) for elem in reference_closure(params, d, generators)
+    ]
+    # the same breadth-first order over the same generating set, which
+    # pins the sign of each s1.t at d >= 3
     assert flat == reference
+    # and the same set as the closure over every letter
+    assert set(flat) == {
+        (elem.vec, elem.perm.images) for elem in reference_closure(params, d, alphabet(params))
+    }
+    assert len(flat) == d**c * math.factorial(n)
 
 
 def test_quotient_order_units_certificate():
