@@ -1,9 +1,10 @@
 """Golden digest of the CLI: one sha256 per command over a fixed argv grid.
 
 Each digest covers, for every argv in its grid, the exit code, stdout and
-stderr of an in-process ``run`` with ``COLUMNS=80``.  A refactor that must
-keep the output byte-identical keeps these digests; a deliberate output
-change updates the one digest it touches and says why.
+stderr of an in-process ``run`` with ``COLUMNS=80``.  A grid entry may be
+an (argv, stdin text) pair instead, whose stdin text is hashed too.  A
+refactor that must keep the output byte-identical keeps these digests; a
+deliberate output change updates the one digest it touches and says why.
 
 To print the current digests after such a change:
 
@@ -17,10 +18,12 @@ import itertools
 import json
 import os
 import random
+import re
 from unittest import mock
 
 import pytest
 
+from uvbraid import HomSpec, Params, hom_from_bits, verify_homspec
 from uvbraid.cli import run
 
 GRAPH_COMMANDS = (
@@ -35,6 +38,13 @@ QUOT_WORDS = ("", "s1.1 r1 S1.1", "r1 s1.2 s1.2 s1.2", "s2.1 r3 s4.1 S2.1 r1")
 WORDS = ("", "r1 s2.1", "r1 s2.1 r1 S3.2 r2 s1.1", "r3 s1.2 S1.2 r3 s2.1 r1 r2", "r4")
 PAIRS = (("r1 s2.1 r1", "r2 s1.1 r2"), ("r1 s1.1", "s1.1 r1"), ("s1.1 S1.1", ""))
 PHI_WORD = "r1 s1.1 r1 S1.1 s1.1"
+# Images swapped into one generator of a ``hom phi`` map for ``hom check``:
+# every permutation of 1, 2, 3 fixing the rest.  Each relation family is
+# the first to fail for some swap; invol(r1) only at n = 2, as at n >= 3
+# a virtual image in a braid relation with an involution is conjugate to it.
+CHECK_SWAPS = ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1), (3, 1, 2))
+# Documents ``hom check`` refuses: bad JSON, a missing key, not an object.
+CHECK_MALFORMED = ("{nope", '{"m": 3}', "[1,2]")
 BUDGET_CASES = (("6", "6", "3", "300"), ("5", "2", "4", "100"), ("5", "1", "5", "2000"))
 # (n, c, m) with m = 4 or 5, then node budgets: (5, 1, 4) needs exactly 1,270
 # nodes, and (5, 1, 5) needs 28,934, of which its class representatives take 2,869.
@@ -136,6 +146,34 @@ def random_pairs():
     return out
 
 
+def hom_check_documents():
+    """(n, c, stdin text) for hom check: every ``hom phi`` map at n = 2..5,
+    c = 1, 2 (at n = 2 extended to S_3, so that the swaps fit), then each
+    with one generator image swapped for one of CHECK_SWAPS, then the
+    malformed documents at n = 3, c = 1."""
+    out = []
+    for n in range(2, 6):
+        for c in (1, 2):
+            for bits in itertools.product((0, 1), repeat=c + 1):
+                hom = hom_from_bits(bits, Params(n, c)).to_json_dict()
+                if n == 2:
+                    hom = {"m": 3, "rho": [[*p, 3] for p in hom["rho"]],
+                           "sigma": [[[*p, 3] for p in col] for col in hom["sigma"]]}
+                out.append((n, c, json.dumps(hom)))
+                slots = [("rho", i, None) for i in range(n - 1)]
+                slots += [("sigma", i, t) for i in range(n - 1) for t in range(c)]
+                for key, i, t in slots:
+                    for swap in CHECK_SWAPS:
+                        image = list(swap) + list(range(4, n + 1))
+                        changed = json.loads(json.dumps(hom))
+                        if t is None:
+                            changed[key][i] = image
+                        else:
+                            changed[key][i][t] = image
+                        out.append((n, c, json.dumps(changed)))
+    return out + [(3, 1, doc) for doc in CHECK_MALFORMED]
+
+
 def grid():
     """Command name -> its argv list."""
     cases = {
@@ -175,7 +213,16 @@ def grid():
         for n, pairs in ORACLE_PAIRS.items() for c in (1, 2) for u, v in pairs
         for d, w in ORACLE_BUDGETS
     ]
+    cases["hom check"] = [
+        (["hom", "check", *_nc(n, c), "--file", "-"], doc) for n, c, doc in hom_check_documents()
+    ]
     cases["nf"] = [["nf", *_nc(n, 2), "--word", w] for n in (3, 5) for w in WORDS]
+    for cmd in ("pure", "perm", "ab"):
+        cases[cmd] = [[cmd, *_nc(n, 2), "--word", w] for n in (3, 5) for w in WORDS]
+    cases["chi"] = [
+        ["chi", *_nc(n, 2), "--t", str(t), "--word", w]
+        for n in (3, 5) for t in (1, 2, 3) for w in WORDS
+    ]
     cases["eq"] = [["eq", *_nc(n, 1), u, v] for n in (3, 4) for u, v in PAIRS]
     cases["nf random"] = [["nf", *_nc(n, c), "--word", w] for n, c, w in random_words()]
     cases["eq random"] = [["eq", *_nc(n, c), u, v] for n, c, u, v in random_pairs()]
@@ -194,14 +241,22 @@ def grid():
     return cases
 
 
-def digest(argvs):
+def digest(entries):
     h = hashlib.sha256()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        for argv in argvs:
+        for entry in entries:
+            argv, stdin = entry if isinstance(entry, tuple) else (entry, None)
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with (
+                mock.patch("sys.stdin", io.StringIO(stdin or "")),
+                contextlib.redirect_stdout(out),
+                contextlib.redirect_stderr(err),
+            ):
                 code = run(argv)
-            h.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+            record = [argv, code, out.getvalue(), err.getvalue()]
+            if stdin is not None:
+                record.insert(1, stdin)
+            h.update(json.dumps(record).encode())
     return h.hexdigest()
 
 
@@ -218,13 +273,30 @@ GOLDEN = {
     "hom enumerate m4-5": "7c21118c4d874981e052486af447fda922fbbee90a8643f9c742c3b635456e38",
     "hom enumerate budget": "ccdd454bd88eea912990f02ec48a9a4b6476f14aeafc047be67971fc098866fa",
     "hom phi": "72472ff63f0c9ebe8143c801a423884531c4ae6039f81593fb50b5a739419817",
+    "hom check": "56481fb832f25732b0ed0a138538eaa36a61feae581799b57ab03f4f4644fb97",
     "oracle eq": "80f96c6843c37e72e233374500a1b9684ff8e242ce2138466e035eeba500b618",
     "nf": "a73c930b11999f143b8619cf6c975e27c9311f96bf9d404f812859946113aec0",
+    "pure": "834cfb74e0cffe6a1dc0fd15f547d9d24595afc5b42ee67c7e69fd9fd7f88106",
+    "perm": "ad04523f295fea157fee5a3a8c39f8a909a594ef50c6b5ea3d00ecdd13f24d5b",
+    "ab": "888eb9a2d8393be8db64e735db551781d7a1389cb6637155ddaa6139e5558507",
+    "chi": "64bd265db635fb4159ed18f76f802acc49f8c408e98c96614e82e3769c496e3c",
     "eq": "d639ae48b060ef6dcaf15a0731d94ffa3d63146d607c01110eeec492745aadac",
     "nf random": "d3e50247d8176479f9b11d62c6a12acbf97b24c95bd7f12845b8b550f598f47a",
     "eq random": "4f48663184e36a23afe94d521bd16658df4154e699e7e9a00d0ea768307b60aa",
     "trivial": "f87b519a6fbcb12b9cdfebb6822620cd60a4b111592627c2898ebf48094c19c5",
 }
+
+
+def test_hom_check_documents_fail_every_relation_family():
+    first_failures = set()
+    for n, c, doc in hom_check_documents()[: -len(CHECK_MALFORMED)]:
+        params = Params(n, c)
+        ok, label = verify_homspec(HomSpec.from_json_dict(json.loads(doc), params), params)
+        if not ok:
+            first_failures.add(re.sub(r"[\d.]", "", label))
+    assert first_failures == {
+        "braid(r,r)", "comm(r,r)", "invol(r)", "comm(s,s)", "comm(s,r)", "slide(s)"
+    }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
