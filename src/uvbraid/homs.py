@@ -1,9 +1,9 @@
 """Homomorphisms from UV(n, c) to symmetric groups, and abelian invariants.
 
 A homomorphism to S_m is specified by its generator images
-(``HomSpec``).  Every relation check reads one table: the
-``defining_relations`` compiled once per ``Params`` into generator
-codes (``_relation_table``), evaluated on plain image tuples.
+(``HomSpec``).  Every relation check reads ``words.relation_codes``,
+the defining relations in generator codes, and evaluates it on plain
+image tuples indexed by code; no ``Word`` is built.
 ``verify_homspec`` checks every relation instance and reports the
 first failure.  ``enumerate_homs`` backtracks over generator images in
 code order: involutions for the virtual letters, then crossing images
@@ -31,14 +31,15 @@ crossing exponent sums plus the virtual letter count mod 2
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 from typing import Callable, Optional
 
 from .perms import Perm, adjacent, all_perms, identity
-from .words import SIGMA, Params, Word, defining_relations
+from .words import SIGMA, Codes, Params, Word, relation_codes
 
 Bits = tuple[int, ...]
 
@@ -116,24 +117,6 @@ def _check_shape(h: HomSpec, params: Params) -> None:
 
 
 Image = tuple[int, ...]  # a permutation of 0..m-1 as its tuple of images
-Codes = tuple[int, ...]
-
-
-@lru_cache(maxsize=64)
-def _relation_table(params: Params) -> tuple[tuple[str, Codes, Codes], ...]:
-    """``defining_relations`` as (label, lhs codes, rhs codes), same order.
-
-    Generator codes: r<i> is i-1 and s<i>.<t> is (n-1)t + i-1, so the
-    virtual letters come first, then the crossings column by column.
-    The defining relations use no inverse letters, so codes carry no sign.
-    """
-
-    def codes(w: Word) -> Codes:
-        return tuple((params.n - 1) * letter.t + letter.i - 1 for letter in w)
-
-    return tuple(
-        (label, codes(lhs), codes(rhs)) for label, lhs, rhs in defining_relations(params)
-    )
 
 
 def _mul(a: Image, b: Image) -> Image:
@@ -162,7 +145,7 @@ def verify_homspec(h: HomSpec, params: Params) -> tuple[bool, Optional[str]]:
     """Check every defining relation instance; return (ok, first failing label)."""
     _check_shape(h, params)
     imgs, one = _code_images(h), tuple(range(h.m))
-    for label, lhs, rhs in _relation_table(params):
+    for label, lhs, rhs in relation_codes(params):
         if _product(lhs, imgs, one) != _product(rhs, imgs, one):
             return False, label
     return True, None
@@ -278,10 +261,10 @@ def enumerate_homs(
 ) -> list[HomSpec]:
     """All homomorphisms UV(n, c) -> S_m, as sorted HomSpecs.
 
-    Backtracking over image tuples in generator index order (see
-    ``_relation_table``): each virtual image ranges over the involutions
-    of S_m, each s<1>.<t> over all of S_m, and every later crossing of a
-    column is forced by its slide relation to y s y^-1 with
+    Backtracking over image tuples in generator code order (see
+    ``words.relation_codes``): each virtual image ranges over the
+    involutions of S_m, each s<1>.<t> over all of S_m, and every later
+    crossing of a column is forced by its slide relation to y s y^-1 with
     y = r<i> r<i+1>.  Each relation of the table is checked once, when
     the generator that completes it is assigned, except ``invol(r<i>)``
     and ``slide(s<i>.<t>)``, which hold by construction.  One node is
@@ -304,12 +287,15 @@ def enumerate_homs(
 
     The clock is checked once the relation table is built, every 256
     nodes, before each full assignment is kept and before each
-    conjugated homomorphism is built.
+    conjugated homomorphism is built.  A NaN ``max_seconds`` would never
+    run out, so it is refused; ``inf`` means no time limit.
     """
     if m < 1:
         raise ValueError(f"target degree must be >= 1, got m={m}")
     if budget is None:
         budget = SearchBudget()
+    if math.isnan(budget.max_seconds):
+        raise ValueError("time budget must be a number of seconds or inf, got nan")
     n = params.n
     if n == 1:
         return [HomSpec(m, (), ())]
@@ -347,7 +333,7 @@ def enumerate_homs(
     involutions = [p for p in sym if _mul(p, p) == one]
     imgs = [one] * ((n - 1) * (params.c + 1))
     completes: list[list[tuple[Codes, Codes]]] = [[] for _ in imgs]
-    for label, lhs, rhs in _relation_table(params):
+    for label, lhs, rhs in relation_codes(params):
         # virtual images are involutions and forced crossings are slides by construction
         if not label.startswith(("invol(", "slide(")):
             completes[max(lhs + rhs)].append((lhs, rhs))

@@ -11,6 +11,9 @@ s<i>.<t>.  The defining relations are
     comm     s<i>.<t> r<j>         =  r<j> s<i>.<t>          |i-j| >= 2
     slide    r<i> r<i+1> s<i>.<t>  =  s<i+1>.<t> r<i> r<i+1>
 
+``relation_codes`` lists each instance once in generator codes, for the
+engines on plain integers; ``defining_relations`` decodes it into words.
+
 Words are whitespace-separated token strings: ``r<i>`` for a virtual
 letter, ``s<i>.<t>`` for a crossing, ``S<i>.<t>`` for its inverse.
 Virtual letters are involutions so they carry no sign; ``R<i>`` is
@@ -241,62 +244,65 @@ def free_reduce(w: Word) -> Word:
     return Word(w.params, free_reduce_letters(w.letters))
 
 
+Codes = tuple[int, ...]
 Relation = tuple[str, Word, Word]
 
 
 @lru_cache(maxsize=64)
-def defining_relations(params: Params) -> tuple[Relation, ...]:
-    """All defining relation instances of UV(n, c) as (label, lhs, rhs).
+def relation_codes(params: Params) -> tuple[tuple[str, Codes, Codes], ...]:
+    """All defining relation instances of UV(n, c) as (label, lhs, rhs)
+    in generator codes: r<i> is i-1 and s<i>.<t> is (n-1)t + i-1, so the
+    virtual letters come first, then the crossings column by column.  The
+    relations use no inverse letters, so codes carry no sign.
 
     The order is fixed: virtual braid relations, far virtual
     commutations, involutions, far crossing commutations, far
     crossing/virtual commutations, then the slide relations.  The result
     is cached per ``Params``, and is a tuple so that no caller can change it.
+
+    >>> for relation in relation_codes(Params(3, 1)):
+    ...     print(relation)
+    ('braid(r1,r2)', (0, 1, 0), (1, 0, 1))
+    ('invol(r1)', (0, 0), ())
+    ('invol(r2)', (1, 1), ())
+    ('slide(s1.1)', (0, 1, 2), (3, 0, 1))
     """
     n, c = params.n, params.c
-    rels: list[Relation] = []
+    far = [(i, j) for i in range(1, n - 1) for j in range(i + 2, n)]
+    rels: list[tuple[str, Codes, Codes]] = []
     for i in range(1, n - 1):
-        rels.append((
-            f"braid(r{i},r{i + 1})",
-            word(params, rho(i), rho(i + 1), rho(i)),
-            word(params, rho(i + 1), rho(i), rho(i + 1)),
-        ))
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            rels.append((
-                f"comm(r{i},r{j})",
-                word(params, rho(i), rho(j)),
-                word(params, rho(j), rho(i)),
-            ))
+        rels.append((f"braid(r{i},r{i + 1})", (i - 1, i, i - 1), (i, i - 1, i)))
+    for i, j in far:
+        rels.append((f"comm(r{i},r{j})", (i - 1, j - 1), (j - 1, i - 1)))
     for i in range(1, n):
-        rels.append((f"invol(r{i})", word(params, rho(i), rho(i)), word(params)))
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            for t in range(1, c + 1):
-                for l in range(1, c + 1):
-                    rels.append((
-                        f"comm(s{i}.{t},s{j}.{l})",
-                        word(params, sigma(i, t), sigma(j, l)),
-                        word(params, sigma(j, l), sigma(i, t)),
-                    ))
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) < 2:
-                continue
-            for t in range(1, c + 1):
-                rels.append((
-                    f"comm(s{i}.{t},r{j})",
-                    word(params, sigma(i, t), rho(j)),
-                    word(params, rho(j), sigma(i, t)),
-                ))
+        rels.append((f"invol(r{i})", (i - 1, i - 1), ()))
+    for i, j in far:
+        for t in range(1, c + 1):
+            for l in range(1, c + 1):
+                a, b = (n - 1) * t + i - 1, (n - 1) * l + j - 1
+                rels.append((f"comm(s{i}.{t},s{j}.{l})", (a, b), (b, a)))
+    for i, j in [(i, j) for i in range(1, n) for j in range(1, n) if abs(i - j) >= 2]:
+        for t in range(1, c + 1):
+            a = (n - 1) * t + i - 1
+            rels.append((f"comm(s{i}.{t},r{j})", (a, j - 1), (j - 1, a)))
     for i in range(1, n - 1):
         for t in range(1, c + 1):
-            rels.append((
-                f"slide(s{i}.{t})",
-                word(params, rho(i), rho(i + 1), sigma(i, t)),
-                word(params, sigma(i + 1, t), rho(i), rho(i + 1)),
-            ))
+            a = (n - 1) * t + i - 1
+            rels.append((f"slide(s{i}.{t})", (i - 1, i, a), (a + 1, i - 1, i)))
     return tuple(rels)
+
+
+@lru_cache(maxsize=64)
+def defining_relations(params: Params) -> tuple[Relation, ...]:
+    """``relation_codes`` decoded into words: (label, lhs, rhs), same
+    order, cached per ``Params`` like the codes."""
+    letters = [rho(i) for i in range(1, params.n)]
+    letters += [sigma(i, t) for t in range(1, params.c + 1) for i in range(1, params.n)]
+
+    def decode(codes: Codes) -> Word:
+        return Word(params, tuple(map(letters.__getitem__, codes)))
+
+    return tuple((label, decode(lhs), decode(rhs)) for label, lhs, rhs in relation_codes(params))
 
 
 def relator_words(params: Params) -> list[tuple[str, Word]]:

@@ -327,6 +327,16 @@ def test_oracle_eq_negative_budget_exits_2(capsys, flag, message):
     assert captured.err == message
 
 
+def test_hom_enumerate_nan_time_budget_exits_2(capsys):
+    argv = ["hom", "enumerate", "--n", "3", "--m", "3", "--max-seconds"]
+    assert run([*argv, "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: time budget must be a number of seconds or inf, got nan\n"
+    assert run([*argv, "inf"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 60
+
+
 def test_output_is_byte_identical(capsys):
     args = ["nf", "--n", "4", "--c", "2", "--word", "r1 s2.2 r3 S1.1"]
     assert run(args) == 0

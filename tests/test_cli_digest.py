@@ -12,6 +12,7 @@ To print the current digests after such a change:
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -151,31 +152,29 @@ def hom_check_documents():
     c = 1, 2 (at n = 2 extended to S_3, so that the swaps fit), then each
     with one generator image swapped for one of CHECK_SWAPS, then the
     malformed documents at n = 3, c = 1."""
+
+    def document(n, c, m, images):
+        rows = [images[k : k + c] for k in range(n - 1, len(images), c)]
+        return n, c, json.dumps({"m": m, "rho": images[: n - 1], "sigma": rows})
+
     out = []
     for n in range(2, 6):
         for c in (1, 2):
+            m = max(n, 3)
             for bits in itertools.product((0, 1), repeat=c + 1):
-                hom = hom_from_bits(bits, Params(n, c)).to_json_dict()
-                if n == 2:
-                    hom = {"m": 3, "rho": [[*p, 3] for p in hom["rho"]],
-                           "sigma": [[[*p, 3] for p in col] for col in hom["sigma"]]}
-                out.append((n, c, json.dumps(hom)))
-                slots = [("rho", i, None) for i in range(n - 1)]
-                slots += [("sigma", i, t) for i in range(n - 1) for t in range(c)]
-                for key, i, t in slots:
+                h = hom_from_bits(bits, Params(n, c))
+                images = [[*p.images, *range(n + 1, m + 1)] for p in h.generator_images()]
+                out.append(document(n, c, m, images))
+                for k in range(len(images)):
                     for swap in CHECK_SWAPS:
-                        image = list(swap) + list(range(4, n + 1))
-                        changed = json.loads(json.dumps(hom))
-                        if t is None:
-                            changed[key][i] = image
-                        else:
-                            changed[key][i][t] = image
-                        out.append((n, c, json.dumps(changed)))
+                        swapped = [*swap, *range(4, m + 1)]
+                        out.append(document(n, c, m, images[:k] + [swapped] + images[k + 1 :]))
     return out + [(3, 1, doc) for doc in CHECK_MALFORMED]
 
 
+@functools.cache
 def grid():
-    """Command name -> its argv list."""
+    """Command name -> its argv list, built once per process."""
     cases = {
         " ".join(cmd): [[*cmd, *_nc(n, c)] for n in range(1, 9) for c in range(1, 4)]
         for cmd in GRAPH_COMMANDS

@@ -277,7 +277,7 @@ def test_enumerate_homs_budget_covers_the_relation_table(monkeypatch):
     # a fake clock that only advances while the relation table is built
     now = 0.0
     products = 0
-    real_table, real_product = uvbraid.homs._relation_table, uvbraid.homs._product
+    real_table, real_product = uvbraid.homs.relation_codes, uvbraid.homs._product
 
     def slow_table(params):
         nonlocal now
@@ -290,7 +290,7 @@ def test_enumerate_homs_budget_covers_the_relation_table(monkeypatch):
         return real_product(*args)
 
     monkeypatch.setattr(uvbraid.homs, "time", SimpleNamespace(monotonic=lambda: now))
-    monkeypatch.setattr(uvbraid.homs, "_relation_table", slow_table)
+    monkeypatch.setattr(uvbraid.homs, "relation_codes", slow_table)
     monkeypatch.setattr(uvbraid.homs, "_product", counting_product)
     with pytest.raises(BudgetExceededError, match="time budget") as err:
         enumerate_homs(Params(5, 1), 3, SearchBudget(max_seconds=0.5))
@@ -298,6 +298,31 @@ def test_enumerate_homs_budget_covers_the_relation_table(monkeypatch):
     # the second node tried (r2) checks braid(r1, r2), so no relation
     # evaluated means the search never got past its first node
     assert products == 0
+
+
+def test_enumerate_homs_refuses_a_nan_time_budget():
+    # a NaN limit would compare false forever and silently switch the clock off
+    with pytest.raises(ValueError, match="nan"):
+        enumerate_homs(Params(3, 1), 3, SearchBudget(max_seconds=float("nan")))
+    assert len(enumerate_homs(Params(3, 1), 3, SearchBudget(max_seconds=float("inf")))) == 60
+
+
+def test_homs_never_build_the_word_relations(monkeypatch):
+    import uvbraid.homs
+    import uvbraid.words
+
+    def refuse(params):
+        raise AssertionError("the homomorphism path built the Word relations")
+
+    # homs reads the code table only, and holds no name of the Word builder
+    assert not hasattr(uvbraid.homs, "defining_relations")
+    monkeypatch.setattr(uvbraid.words, "defining_relations", refuse)
+    uvbraid.words.relation_codes.cache_clear()
+    p = Params(5, 1)
+    found = enumerate_homs(p, 3)
+    assert len(found) == 12
+    assert all(verify_homspec(h, p) == (True, None) for h in found)
+    assert verify_homspec(hom_from_bits((1, 0), p), p) == (False, "slide(s1.1)")
 
 
 def test_enumerate_homs_never_calls_verify_homspec(monkeypatch):

@@ -5,8 +5,9 @@ by hand-written braid and far-commutation checks (``rho_ok``), crossing
 columns by hand-written commutation checks (``column_ok``), all on
 validated ``Perm``s through ``compose``.  ``reference_verify_homspec``
 is the earlier verification: it folds each side of every defining
-relation as a ``Word`` with ``HomSpec.evaluate``.  Neither reads the
-compiled relation table.
+relation as a ``Word`` with ``HomSpec.evaluate``, taking the relations
+from the Word-built list in ``tests/relations_reference.py``.  Neither
+reads ``words.relation_codes``.
 """
 
 import random
@@ -22,7 +23,6 @@ from uvbraid import (
     Params,
     Perm,
     SearchBudget,
-    defining_relations,
     enumerate_homs,
     verify_homspec,
 )
@@ -30,11 +30,12 @@ from uvbraid.homs import _check_shape, sorted_homs
 from uvbraid.perms import all_perms
 
 from perm_reference import compose
+from relations_reference import reference_relations
 
 
 def reference_verify_homspec(h: HomSpec, params: Params) -> tuple[bool, Optional[str]]:
     _check_shape(h, params)
-    for label, lhs, rhs in defining_relations(params):
+    for label, lhs, rhs in reference_relations(params):
         if h.evaluate(lhs) != h.evaluate(rhs):
             return False, label
     return True, None

@@ -1,10 +1,8 @@
-import doctest
 import itertools
 import random
 
 import pytest
 
-import uvbraid.perms
 from uvbraid import (
     Params,
     Perm,
@@ -18,11 +16,6 @@ from uvbraid import (
 from uvbraid.perms import adjacent, transposition
 
 from perm_reference import compose
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(uvbraid.perms)
-    assert failures == 0
 
 
 def test_perm_validation():

@@ -28,6 +28,16 @@ def run_captured(argv):
     return code, out.getvalue()
 
 
+def test_readme_library_quickstart_prints_its_comments():
+    block = section("## Library quickstart").split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == expected
+    assert expected == ["['d1.3.1'] (1 2)", "True"]
+
+
 # verify-paper and ``hom check --file images.json`` have their own tests.
 COMMAND_LINES = [
     shlex.split(line, comments=True)[1:]

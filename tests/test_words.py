@@ -16,6 +16,9 @@ from uvbraid import (
     sigma,
     word,
 )
+from uvbraid.words import relation_codes
+
+from relations_reference import reference_codes, reference_relations
 
 
 def test_params_validation():
@@ -156,9 +159,20 @@ def test_relation_inventory_counts():
 
 def test_defining_relations_are_cached_and_immutable():
     p = Params(4, 2)
-    rels = defining_relations(p)
-    assert rels is defining_relations(p)
-    assert isinstance(rels, tuple) and all(isinstance(rel, tuple) for rel in rels)
+    for build in (defining_relations, relation_codes):
+        rels = build(p)
+        assert rels is build(p)
+        assert isinstance(rels, tuple) and all(isinstance(rel, tuple) for rel in rels)
+
+
+REFERENCE_SHAPES = [(n, c) for n in range(1, 9) for c in range(1, 4)] + [(30, 3), (12, 5)]
+
+
+@pytest.mark.parametrize("n,c", REFERENCE_SHAPES)
+def test_relations_match_the_word_built_reference(n, c):
+    p = Params(n, c)
+    assert defining_relations(p) == reference_relations(p)
+    assert list(relation_codes(p)) == reference_codes(p)
 
 
 def test_relator_words_are_relation_quotients():
