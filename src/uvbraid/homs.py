@@ -287,13 +287,17 @@ def enumerate_homs(
 
     The clock is checked once the relation table is built, every 256
     nodes, before each full assignment is kept and before each
-    conjugated homomorphism is built.  A NaN ``max_seconds`` would never
-    run out, so it is refused; ``inf`` means no time limit.
+    conjugated homomorphism is built.  A negative ``max_nodes`` is
+    refused before any set-up.  A NaN ``max_seconds`` would never run
+    out, so it is refused; ``inf`` means no time limit, and a negative
+    one is a clock already spent.
     """
     if m < 1:
         raise ValueError(f"target degree must be >= 1, got m={m}")
     if budget is None:
         budget = SearchBudget()
+    if budget.max_nodes < 0:
+        raise ValueError(f"node budget must be >= 0, got max_nodes={budget.max_nodes}")
     if math.isnan(budget.max_seconds):
         raise ValueError("time budget must be a number of seconds or inf, got nan")
     n = params.n

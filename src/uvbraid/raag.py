@@ -10,16 +10,18 @@ graph with n(n-1)c vertices (i, j, t) and edges between colour-blind
 disjoint pairs.
 
 So a kernel word is a heap of pieces, each lying on its two strands,
-and normal forms keep one stack of pieces per strand: a letter cancels
-when both its strand stacks have on top the same piece, holding the
-inverse letter.  Reading back the smallest piece (in lexicographic
-(i, j, t) order) at the bottom of both its strands, again and again,
-yields a canonical fully-cancelled word: two words are equal in the
-group iff their normal forms are equal letter for letter.
-``reduce_pieces`` runs both passes on pieces given as plain (i, j, t,
-sign) tuples, with stacks only for the strands the word touches, so its
-cost follows the word length and not n; ``normal_form`` is its wrapper
-for a validated ``KWord``.
+kept as one stack of pieces per strand.  The stacking pass,
+``stack_pieces``, cancels a letter when both its strand stacks have on
+top the same piece, holding the inverse letter; the piling it leaves
+is reduced, so it is empty exactly when the word is trivial, and the
+word problem needs nothing more.  The read-out, ``read_out``, takes
+back the smallest piece (in lexicographic (i, j, t) order) at the
+bottom of both its strands, again and again, which yields a canonical
+fully-cancelled word: two words are equal in the group iff their
+normal forms are equal letter for letter.  Both passes work on pieces
+given as plain (i, j, t, sign) tuples, with stacks only for the
+strands the word touches, so their cost follows the word length and
+not n; ``normal_form`` runs both for a validated ``KWord``.
 
 The certificates read off this graph check their witnesses with
 ``commute``, the colour-blind disjointness of strand pairs, and never
@@ -36,13 +38,15 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .words import Params
 
 Vertex = tuple[int, int, int]
 # A kernel letter d<i>.<j>.<t>^sign as the plain tuple (i, j, t, sign).
 Piece = tuple[int, int, int, int]
+# Strand -> its stack of pieces, bottom first, for the strands a word touches.
+Strands = dict[int, list[Piece]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,22 +128,23 @@ def vertices(params: Params) -> Iterator[Vertex]:
     )
 
 
-def reduce_pieces(pieces: Sequence[Piece]) -> list[Piece]:
-    """The normal form of a kernel word given as (i, j, t, sign) pieces.
+def stack_pieces(pieces: Iterable[Piece]) -> Strands:
+    """The stacking pass: the reduced piling of a kernel word given as
+    (i, j, t, sign) pieces, as a stack per strand the word touches.
 
-    Stacking pass: a letter whose two strand stacks have the same piece
-    on top, holding its inverse, cancels that piece; otherwise it is
-    pushed as a new piece onto both stacks.  Reading pass: repeatedly
-    emit the lexicographically smallest piece at the bottom of both its
-    strands.  The result is fully cancelled and every run of
-    pairwise-commuting letters appears in (i, j, t) order.
+    A letter whose two strand stacks have the same piece on top, holding
+    its inverse, cancels that piece; otherwise it is pushed as a new
+    piece onto both stacks.  A piece on top of both strands i and j lies
+    on {i, j}, and no other piece on {i, j} can be there too, so the
+    tuple object itself names the piece.
 
-    Only the strands the word touches get a stack.  A piece on top (or
-    at the bottom) of both strands i and j lies on {i, j}, and no other
-    piece on {i, j} can be there too, so the tuple object itself names
-    the piece.  Pieces ready to be read out share no strand, so their
-    source strands i differ and order them as (i, j, t) does: the heap
-    holds source strands, each ready piece being the bottom of its own.
+    The piling this leaves is reduced: a piece is pushed only when it
+    cannot cancel the piece on top of both its strands, and a
+    cancellation pops a piece with nothing above it, which brings no
+    two pieces together.  So no piece lies directly on its inverse
+    along both strands, and a reduced piling is empty exactly when the
+    word is trivial in the right-angled Artin group (Crisp-Godelle-Wiest
+    2009): the word is trivial iff every stack ends empty.
     """
     strands: defaultdict[int, list[Piece]] = defaultdict(list)
     for piece in pieces:
@@ -155,7 +160,21 @@ def reduce_pieces(pieces: Sequence[Piece]) -> list[Piece]:
                 continue
         on_i.append(piece)
         on_j.append(piece)
+    return strands
 
+
+def read_out(strands: Strands) -> list[Piece]:
+    """The canonical read-out of a reduced piling, emptying its stacks.
+
+    Repeatedly emit the lexicographically smallest piece at the bottom
+    of both its strands.  The result is fully cancelled and every run
+    of pairwise-commuting letters appears in (i, j, t) order.  As on
+    top, a piece at the bottom of both strands i and j is named by the
+    tuple object itself.  Pieces ready to be read out share no strand,
+    so their source strands i differ and order them as (i, j, t) does:
+    the heap holds source strands, each ready piece being the bottom of
+    its own.
+    """
     for stack in strands.values():
         stack.reverse()  # bottom piece last
     ready = [
@@ -181,8 +200,8 @@ def reduce_pieces(pieces: Sequence[Piece]) -> list[Piece]:
 
 def normal_form(w: KWord) -> KWord:
     """Canonical representative of w in the right-angled Artin kernel
-    (see ``reduce_pieces``)."""
-    out = reduce_pieces([(d.i, d.j, d.t, d.sign) for d in w.letters])
+    (see ``stack_pieces`` and ``read_out``)."""
+    out = read_out(stack_pieces([(d.i, d.j, d.t, d.sign) for d in w.letters]))
     return KWord(w.params, tuple([KLetter(*piece) for piece in out]))
 
 

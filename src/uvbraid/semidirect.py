@@ -5,15 +5,18 @@ right while tracking the permutation p of the virtual prefix, a
 crossing letter s<i>.<t>^e seen at prefix p equals the kernel letter
 d<p(i)>.<p(i+1)>.<t>^e, and the virtual letters accumulate into
 rho_word(p).  The kernel part lives in the right-angled Artin kernel,
-where the strand stacks of ``raag.reduce_pieces`` decide equality; the
+where the strand stacks of ``raag.stack_pieces`` decide triviality; the
 virtual part is just a permutation.  Two words are equal iff both
 components agree, which makes the word problem exact and fast.
 
 Inside, the scan emits kernel letters as plain (i, j, t, sign) tuples
-and keeps p as an image list; ``are_equal`` and ``is_trivial`` compare
-the reduced tuples and lists directly.  Objects are built only at the
-boundary: ``to_normal_form`` wraps the reduced output in ``KLetter``,
-``KWord`` and ``Perm``.
+and keeps p as an image list.  ``are_equal`` compares the two image
+lists and, if they agree, stacks u's pieces followed by v's, inverted
+and in reverse order: u = v iff every strand stack ends empty.
+``is_trivial`` does the same for one word.  Neither runs the canonical
+read-out or builds an object; only ``to_normal_form`` reads the piling
+out (``raag.read_out``) and wraps the result in ``KLetter``, ``KWord``
+and ``Perm``.
 
 ``kletter_to_word`` expands a kernel letter back into generators:
 d<i>.<i+1>.<t> is s<i>.<t> itself, and more distant pairs conjugate by
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perms import Perm, strand_permutation
-from .raag import KLetter, KWord, Piece, check_kletter, reduce_pieces
+from .raag import KLetter, KWord, Piece, check_kletter, read_out, stack_pieces
 from .words import SIGMA, Letter, Params, Word, rho, sigma
 
 
@@ -66,9 +69,9 @@ def permute_kletter(p: Perm, d: KLetter) -> KLetter:
     return KLetter(p(d.i), p(d.j), d.t, d.sign)
 
 
-def _reduce(w: Word) -> tuple[list[Piece], list[int]]:
-    """The kernel normal form of w as pieces, and its virtual permutation p
-    as the image list [0, p(1), .., p(n)]."""
+def _scan(w: Word) -> tuple[list[Piece], list[int]]:
+    """The kernel letters of w as pieces, in order, and its virtual
+    permutation p as the image list [0, p(1), .., p(n)]."""
     # r<i> swaps images[i], images[i+1]; s<i>.<t> emits the piece on them.
     images = list(range(w.params.n + 1))
     emitted: list[Piece] = []
@@ -78,25 +81,61 @@ def _reduce(w: Word) -> tuple[list[Piece], list[int]]:
             emitted.append((images[i], images[i + 1], letter.t, letter.sign))
         else:
             images[i], images[i + 1] = images[i + 1], images[i]
-    return reduce_pieces(emitted), images
+    return emitted, images
+
+
+def _cancels(pieces: list[Piece]) -> bool:
+    """Whether these pieces make a trivial kernel word: every strand stack
+    of their reduced piling ends empty."""
+    return not any(stack_pieces(pieces).values())
 
 
 def to_normal_form(w: Word) -> NormalForm:
     """Factor w as (kernel normal form) * rho_word(virtual permutation)."""
-    pieces, images = _reduce(w)
-    kword = KWord(w.params, tuple([KLetter(*piece) for piece in pieces]))
+    pieces, images = _scan(w)
+    out = read_out(stack_pieces(pieces))
+    kword = KWord(w.params, tuple([KLetter(*piece) for piece in out]))
     return NormalForm(kword, Perm(tuple(images[1:])))
 
 
 def is_trivial(w: Word) -> bool:
-    pieces, images = _reduce(w)
-    return not pieces and images == list(range(w.params.n + 1))
+    """Whether w is the identity: its virtual permutation is, and its
+    kernel letters stack down to nothing.
+
+    >>> from uvbraid import Params, parse_word
+    >>> p = Params(3, 1)
+    >>> is_trivial(parse_word("r1 r2 s1.1 r2 r1 S2.1", p))
+    True
+    >>> is_trivial(parse_word("s1.1 r1 S1.1 r1", p))
+    False
+    >>> is_trivial(parse_word("r1 r2 r1 r2 r1 r2", p))
+    True
+    """
+    pieces, images = _scan(w)
+    return images == list(range(w.params.n + 1)) and _cancels(pieces)
 
 
 def are_equal(u: Word, v: Word) -> bool:
+    """Whether u and v are the same element of UV(n, c).
+
+    With u = K_u rho_word(p) and v = K_v rho_word(q), u = v iff p = q and
+    K_u K_v^-1 is trivial: v's pieces follow u's, inverted and in
+    reverse order, through one stacking pass with no read-out.
+
+    >>> from uvbraid import Params, parse_word
+    >>> p = Params(3, 1)
+    >>> are_equal(parse_word("r1 s2.1 r1", p), parse_word("r2 s1.1 r2", p))
+    True
+    >>> are_equal(parse_word("r1 s1.1", p), parse_word("s1.1 r1", p))
+    False
+    """
     if u.params != v.params:
         raise ValueError(f"cannot compare words with parameters {u.params} and {v.params}")
-    return _reduce(u) == _reduce(v)
+    u_pieces, u_images = _scan(u)
+    v_pieces, v_images = _scan(v)
+    if u_images != v_images:
+        return False
+    return _cancels(u_pieces + [(i, j, t, -sign) for i, j, t, sign in reversed(v_pieces)])
 
 
 def is_pure(w: Word) -> bool:

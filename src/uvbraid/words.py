@@ -310,14 +310,16 @@ def relator_words(params: Params) -> list[tuple[str, Word]]:
     return [(label, lhs * rhs.inverse()) for label, lhs, rhs in defining_relations(params)]
 
 
-def alphabet(params: Params) -> list[Letter]:
-    """Every letter of UV(n, c) including crossing inverses, in a fixed order."""
+@lru_cache(maxsize=64)
+def alphabet(params: Params) -> tuple[Letter, ...]:
+    """Every letter of UV(n, c) including crossing inverses, in a fixed
+    order, built and checked once per ``Params``."""
     letters: list[Letter] = [rho(i) for i in range(1, params.n)]
     for i in range(1, params.n):
         for t in range(1, params.c + 1):
             letters.append(sigma(i, t, 1))
             letters.append(sigma(i, t, -1))
-    return letters
+    return tuple(letters)
 
 
 def random_word(params: Params, rng: Random, max_len: int) -> Word:

@@ -327,6 +327,13 @@ def test_oracle_eq_negative_budget_exits_2(capsys, flag, message):
     assert captured.err == message
 
 
+def test_hom_enumerate_negative_node_budget_exits_2(capsys):
+    assert run(["hom", "enumerate", "--n", "3", "--m", "1", "--max-nodes", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: node budget must be >= 0, got max_nodes=-5\n"
+
+
 def test_hom_enumerate_nan_time_budget_exits_2(capsys):
     argv = ["hom", "enumerate", "--n", "3", "--m", "3", "--max-seconds"]
     assert run([*argv, "nan"]) == 2

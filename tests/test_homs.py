@@ -216,6 +216,19 @@ def test_enumerate_homs_budget():
     assert isinstance(err.value.partial, list)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_enumerate_homs_refuses_a_negative_node_budget(monkeypatch, n):
+    import uvbraid.homs
+
+    def no_set_up(*args):
+        raise AssertionError("set-up ran before the budget was checked")
+
+    monkeypatch.setattr(uvbraid.homs, "all_perms", no_set_up)
+    monkeypatch.setattr(uvbraid.homs, "relation_codes", no_set_up)
+    with pytest.raises(ValueError, match="node budget must be >= 0, got max_nodes=-5"):
+        enumerate_homs(Params(n, 1), 1, SearchBudget(max_nodes=-5))
+
+
 def test_single_strand_has_one_hom():
     found = enumerate_homs(Params(1, 1), 3, SearchBudget())
     assert len(found) == 1

@@ -26,7 +26,7 @@ from uvbraid import (
     word,
 )
 from uvbraid.semidirect import permute_kletter
-from uvbraid.words import alphabet, rho, sigma
+from uvbraid.words import SIGMA, alphabet, rho, sigma
 
 
 def test_delta_expansion_small():
@@ -137,8 +137,9 @@ def test_are_equal_is_a_congruence(data):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_are_equal_and_is_trivial_agree_with_normal_forms(data):
-    # are_equal and is_trivial compare the engine's pieces; the NormalForm
-    # objects must tell the same, with half the pairs equal by a relator
+    # are_equal and is_trivial stack pieces without a read-out; the
+    # NormalForm objects must tell the same, with half the pairs equal by a
+    # relator
     p = Params(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)))
     letters = st.lists(st.sampled_from(alphabet(p)), max_size=12) if p.n > 1 else st.just([])
     u, v = (Word(p, tuple(data.draw(letters))) for _ in range(2))
@@ -149,6 +150,64 @@ def test_are_equal_and_is_trivial_agree_with_normal_forms(data):
     assert are_equal(u, v) == (to_normal_form(u) == to_normal_form(v))
     assert is_trivial(u) == (to_normal_form(u) == to_normal_form(Word(p)))
     assert is_trivial(u * v.inverse()) == are_equal(u, v)
+
+
+def benchmark_scale_pairs(p, length, count, seed):
+    """(u, v, equal) at benchmark scale: u is random, and v is u with about
+    length/20 conjugated relators inserted (equal), then in turn also with
+    one crossing's sign flipped (unequal: it moves a colour exponent sum),
+    or with a virtual letter appended (same kernel part, other permutation)."""
+    rng = random.Random(seed)
+    letters, rels = alphabet(p), [w.letters for _, w in relator_words(p)]
+    for k in range(count):
+        u = [rng.choice(letters) for _ in range(length)]
+        v = list(u)
+        for _ in range(round(length / 20)):
+            x = [rng.choice(letters) for _ in range(rng.randint(0, 2))]
+            pos = rng.randint(0, len(v))
+            v[pos:pos] = x + list(rng.choice(rels)) + [letter.inverse() for letter in x[::-1]]
+        if k % 3 == 1:
+            crossing = rng.choice([pos for pos, letter in enumerate(v) if letter.kind == SIGMA])
+            v[crossing] = v[crossing].inverse()
+        elif k % 3 == 2:
+            v.append(rho(rng.randint(1, p.n - 1)))
+        yield Word(p, tuple(u)), Word(p, tuple(v)), k % 3 == 0
+
+
+def test_are_equal_matches_normal_forms_at_benchmark_scale():
+    p = Params(20, 3)
+    for u, v, equal in benchmark_scale_pairs(p, 600, 36, seed=601):
+        nu, nv = to_normal_form(u), to_normal_form(v)
+        assert are_equal(u, v) is (nu == nv) is equal
+        assert is_trivial(u * v.inverse()) is equal
+        if not equal:
+            # flipped pairs share the permutation, appended ones the kernel part
+            assert (nu.perm == nv.perm) is not (nu.kword == nv.kword)
+
+
+def test_word_problem_never_reads_out(monkeypatch):
+    import uvbraid.raag
+    import uvbraid.semidirect
+
+    p = Params(20, 3)
+    pairs = list(benchmark_scale_pairs(p, 200, 6, seed=604))
+
+    def refuse(*args):
+        raise AssertionError("the word problem built a normal form")
+
+    for module, name in [
+        (uvbraid.raag, "read_out"),
+        (uvbraid.semidirect, "read_out"),
+        (uvbraid.semidirect, "KLetter"),
+        (uvbraid.semidirect, "KWord"),
+        (uvbraid.semidirect, "Perm"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    for u, v, equal in pairs:
+        assert are_equal(u, v) is equal
+        assert is_trivial(u * v.inverse()) is equal
+    with pytest.raises(AssertionError, match="built a normal form"):
+        to_normal_form(pairs[0][0])
 
 
 def test_conjugation_relabels_vertices():
