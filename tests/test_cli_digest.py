@@ -71,6 +71,31 @@ ORACLE_PAIRS = {
 }
 # (depth, width): every depth at the CLI's width, then frontier overflow.
 ORACLE_BUDGETS = tuple((d, 300) for d in range(7)) + ((6, 1), (6, 5))
+# Argument errors, help and dispatch edge cases: help texts (wrapped at
+# COLUMNS=80), unknown commands and modes, missing, malformed, abbreviated
+# (--wo, the ambiguous --max) and repeated options, unknown options and
+# extra positionals, options before the mode, ``graph``'s mode after its
+# flags, ``--`` before eq's words, and an option verify-paper lacks.
+N3 = ("--n", "3")
+CLI_ERRORS = (
+    (), ("-h",), ("vcd", "-h"), ("hom", "enumerate", "-h"),
+    ("bogus",), ("hom",), ("quot", "-h"), ("hom", "bogus", *N3),
+    ("nf", *N3), ("nf", "--word", "r1"), ("eq", *N3, "r1"), ("hom", "enumerate", "--m", "2"),
+    ("nf", *N3, "--word"),
+    ("nf", "--n", "x", "--word", "r1"), ("hom", "enumerate", *N3, "--m", "two"),
+    ("oracle", "eq", *N3, "--depth", "1.5", "r1", "r1"),
+    ("nf", *N3, "--wo", "r1"), ("hom", "enumerate", *N3, "--m", "2", "--max", "5"),
+    ("nf", "--n=3", "--word=r1 r2"),
+    ("nf", *N3, "--n", "4", "--word", "r3"),
+    ("chi", *N3, "--t", "1", "--t", "2", "--word", "s1.2"),
+    ("nf", *N3, "--word", "r1", "--bogus"), ("vcd", *N3, "-x", "1"),
+    ("nf", *N3, "--word", "r1", "extra"), ("eq", *N3, "r1", "r1", "r2"),
+    ("vcd", *N3, "extra", "more"), ("hom", "enumerate", *N3, "--m", "2", "enumerate"),
+    ("hom", "--n", "3", "enumerate", "--m", "2"), ("oracle", "--n", "3", "eq", "r1", "r1"),
+    ("graph", "--n", "3", "stats"), ("graph", "bogus"), ("graph", "--n", "3"),
+    ("eq", *N3, "--", "r1", "r1"), ("eq", *N3, "r1", "--", "S1.1"),
+    ("verify-paper", "--n", "3"),
+)
 # Seeded random words and pairs for nf and eq: RANDOM_COUNT at n = 1..8,
 # c = 1..3, then WIDE_COUNT of WIDE_LEN letters at WIDE_NC.
 RANDOM_SEED, RANDOM_COUNT = 20261018, 200
@@ -223,6 +248,7 @@ def grid():
         for n in (3, 5) for t in (1, 2, 3) for w in WORDS
     ]
     cases["eq"] = [["eq", *_nc(n, 1), u, v] for n in (3, 4) for u, v in PAIRS]
+    cases["cli errors"] = [list(argv) for argv in CLI_ERRORS]
     cases["nf random"] = [["nf", *_nc(n, c), "--word", w] for n, c, w in random_words()]
     cases["eq random"] = [["eq", *_nc(n, c), u, v] for n, c, u, v in random_pairs()]
     # u v^-1 over the eq pairs is trivial exactly when the pair is equal
@@ -279,6 +305,7 @@ GOLDEN = {
     "perm": "ad04523f295fea157fee5a3a8c39f8a909a594ef50c6b5ea3d00ecdd13f24d5b",
     "ab": "888eb9a2d8393be8db64e735db551781d7a1389cb6637155ddaa6139e5558507",
     "chi": "64bd265db635fb4159ed18f76f802acc49f8c408e98c96614e82e3769c496e3c",
+    "cli errors": "12334d1edd081bff396a19def007ab036ea21c04cde6e0d44e1d9b1355d45dab",
     "eq": "d639ae48b060ef6dcaf15a0731d94ffa3d63146d607c01110eeec492745aadac",
     "nf random": "d3e50247d8176479f9b11d62c6a12acbf97b24c95bd7f12845b8b550f598f47a",
     "eq random": "4f48663184e36a23afe94d521bd16658df4154e699e7e9a00d0ea768307b60aa",
