@@ -24,8 +24,49 @@ from .words import Params, parse_word
 GRAPH_LIMIT = 10_000
 
 
+def _json(value, pad: str = "") -> str:
+    """Exactly ``json.dumps(value, indent=2)``, for a value nested at ``pad``.
+
+    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+    set; this writer builds the same text with less work per value.  It
+    writes dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
+    ``bool`` and ``None`` itself, and hands anything else (floats, int
+    subclasses, other keys) to ``json.dumps``, re-indented to ``pad``:
+    json escapes newlines inside strings, so each newline there starts a
+    line.
+    """
+    kind = type(value)
+    if kind is str:
+        return json.dumps(value)
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        body = (",\n" + inner).join(
+            [repr(item) if type(item) is int else _json(item, inner) for item in value]
+        )
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        body = (",\n" + inner).join(
+            [json.dumps(key) + ": " + _json(item, inner) for key, item in value.items()]
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def _emit(**fields) -> int:
-    sys.stdout.write(json.dumps({"schema": 1, **fields}, indent=2) + "\n")
+    # _json writes the bytes json.dumps(doc, indent=2) would, only faster.
+    sys.stdout.write(_json({"schema": 1, **fields}) + "\n")
     return 0
 
 
@@ -55,9 +96,7 @@ def _cmd_trivial(args: argparse.Namespace, params: Params) -> int:
 def _cmd_pure(args: argparse.Namespace, params: Params) -> int:
     w = parse_word(args.word, params)
     p = strand_permutation(w)
-    return _emit(
-        pure=semidirect.is_pure(w), strand_perm=list(p.images), strand_cycles=p.cycle_string()
-    )
+    return _emit(pure=p.is_identity, strand_perm=list(p.images), strand_cycles=p.cycle_string())
 
 
 def _cmd_perm(args: argparse.Namespace, params: Params) -> int:
@@ -327,12 +366,21 @@ _TABLE = (
 )
 
 
+_Parsers = tuple[
+    argparse.ArgumentParser,
+    dict[str, list[str]],
+    dict[tuple[str, str | None], argparse.ArgumentParser],
+]
+
+
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, list[str]]]:
-    """The argparse tree and every command's modes, both read off ``_TABLE``."""
+def _parser() -> _Parsers:
+    """The argparse tree, every command's modes and each handler row's
+    leaf parser keyed by (command, mode), all read off ``_TABLE``."""
     parser = argparse.ArgumentParser(prog="uvbraid", description=__doc__)
     commands = parser.add_subparsers(dest="command")
     modes: dict[str, list[str]] = {}
+    leaves: dict[tuple[str, str | None], argparse.ArgumentParser] = {}
     sub_commands = {}
     for command, mode, help_text, arguments, handler in _TABLE:
         if mode is None:
@@ -348,13 +396,15 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, list[str]]]:
             if name == "mode":
                 modes[command] = spec["choices"]
         p.set_defaults(handler=handler)
-    return parser, modes
+        if handler is not None:
+            leaves[command, mode] = p
+    return parser, modes, leaves
 
 
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, modes = _parser()
+    parser, modes, leaves = _parser()
     if not argv or argv[0] in ("-h", "--help"):
         parser.print_help()
         return 0 if argv else 64
@@ -367,8 +417,21 @@ def run(argv: list[str] | None = None) -> int:
             f"unknown mode for {command}: expected one of {', '.join(modes[command])}\n"
         )
         return 64
+    # Walking the tree costs more than the leaf parse it ends in, so a
+    # handler row's own parser gets the argv the tree would hand it, and
+    # the top parser reports leftover tokens as the tree does.  Options
+    # before a sub-command's mode go through the tree, so that their
+    # error reads the same.
+    leaf, rest = leaves.get((command, None)), argv[1:]
+    if leaf is None:
+        leaf, rest = leaves.get((command, argv[1])), argv[2:]
     try:
-        args = parser.parse_args(argv)
+        if leaf is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = leaf.parse_known_args(rest)
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -11,14 +11,18 @@ is a proof of equality; the result is three-valued and never claims
 inequality.  Exhausting the depth or overflowing the frontier budget
 returns Unknown.
 
-The search runs on integer codes: each letter is its index in
-``words.alphabet``, and the rules of ``rewrite_rules`` are compiled
-into those codes once per ``Params``, with a table of inverse codes.
-Every stored word is free-reduced, so a rewrite only needs reducing at
-its two seams.  A cancelling-pair insertion reduces straight back to
-the word it was applied to, so the search skips it without changing
-what it visits.  Words are encoded on the way in; the result holds
-only rule labels and positions.
+The search runs on strings of codes: each letter is its index x in
+``words.alphabet``, a node holds it as the character ``chr(x)``, and the
+rules of ``rewrite_rules`` are compiled into such strings once per
+``Params``, with a table of inverse codes.  Strings keep slicing,
+concatenation, hashing and the pattern scan (``str.find``) in C, where
+tuples of integers would hash element by element.  Every stored word is
+free-reduced, so a rewrite only needs reducing at its two seams, and an
+insertion whose seams cannot cancel is a plain concatenation.  A
+cancelling-pair insertion reduces straight back to the word it was
+applied to, so the search skips it without changing what it visits.
+Words are encoded on the way in, after the free reduction of u * v^-1
+is found non-empty; the result holds only rule labels and positions.
 
 Proof paths are replayable: ``replay`` applies the recorded
 (rule, position) steps to u * v^-1 on ``Letter``s, independently of the
@@ -29,6 +33,7 @@ what makes it a useful cross-check.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -49,7 +54,7 @@ UNKNOWN = "unknown"
 
 Rule = tuple[tuple[Letter, ...], tuple[Letter, ...]]
 Step = tuple[str, int]
-Codes = tuple[int, ...]  # a word as indices into ``words.alphabet``
+Node = str  # a word, one character chr(x) per index x into ``words.alphabet``
 
 
 @dataclass(frozen=True)
@@ -135,30 +140,41 @@ def apply_rule(letters: tuple[Letter, ...], rule: Rule, pos: int) -> tuple[Lette
 
 @dataclass(frozen=True)
 class _Coding:
-    """Letters as their indices in ``words.alphabet`` and the rules in those codes."""
+    """Letters as one-character codes, ``chr`` of their indices in
+    ``words.alphabet``, and the rules in those codes."""
 
-    code: dict[Letter, int]
-    inverse: Codes  # inverse[x] is the code of the inverse of letter x
+    code: dict[Letter, str]
+    inverse: dict[str, str]  # inverse[x] is the code of the inverse of letter x
     # (label, pattern, free-reduced replacement), in ``rewrite_rules`` order
-    rules: tuple[tuple[str, Codes, Codes], ...]
+    rules: tuple[tuple[str, Node, Node], ...]
 
-    def encode(self, letters: tuple[Letter, ...]) -> Codes:
-        return tuple(self.code[letter] for letter in letters)
+    def encode(self, letters: tuple[Letter, ...]) -> Node:
+        return "".join([self.code[letter] for letter in letters])
 
 
 @lru_cache(maxsize=None)
 def _coding(params: Params) -> _Coding:
+    size = (params.n - 1) * (2 * params.c + 1)  # len(alphabet(params)), before building it
+    if size > sys.maxunicode + 1:
+        raise ValueError(
+            f"the oracle codes each letter as one character, so it takes at most "
+            f"{sys.maxunicode + 1} letters, got {size} for n={params.n}, c={params.c}"
+        )
     letters = alphabet(params)
-    code = {letter: x for x, letter in enumerate(letters)}
-    inverse = tuple(code[letter.inverse()] for letter in letters)
+    code = {letter: chr(x) for x, letter in enumerate(letters)}
+    inverse = {code[letter]: code[letter.inverse()] for letter in letters}
+
+    def encode(word: tuple[Letter, ...]) -> Node:
+        return "".join([code[letter] for letter in word])
+
     rules = tuple(
-        (label, tuple(code[l] for l in pattern), tuple(code[l] for l in free_reduce_letters(rep)))
+        (label, encode(pattern), encode(free_reduce_letters(rep)))
         for label, (pattern, rep) in rewrite_rules(params).items()
     )
     return _Coding(code, inverse, rules)
 
 
-def _splice(node: Codes, i: int, j: int, rep: Codes, inverse: Codes) -> Codes:
+def _splice(node: Node, i: int, j: int, rep: Node, inverse: dict[str, str]) -> Node:
     """free_reduce(node[:i] + rep + node[j:]) for free-reduced node and rep.
 
     Only the two seams can cancel: rep's head against the prefix, then
@@ -180,21 +196,26 @@ def _splice(node: Codes, i: int, j: int, rep: Codes, inverse: Codes) -> Codes:
     return node[:a] + rep[b:e] + node[k:]
 
 
-def _successors(node: Codes, coding: _Coding) -> Iterator[tuple[str, int, Codes]]:
+def _successors(node: Node, coding: _Coding) -> Iterator[tuple[str, int, Node]]:
     inverse = coding.inverse
     size = len(node)
     for label, pattern, rep in coding.rules:
         if pattern:
             span = len(pattern)
-            head = pattern[0]
-            for pos in range(size - span + 1):
-                if node[pos] == head and node[pos : pos + span] == pattern:
-                    yield label, pos, _splice(node, pos, pos + span, rep, inverse)
+            pos = node.find(pattern)
+            while pos >= 0:
+                yield label, pos, _splice(node, pos, pos + span, rep, inverse)
+                pos = node.find(pattern, pos + 1)
         elif rep:
             # an inserted pair that cancels (r<i> r<i>, s S, S s) leaves
-            # every node as it is, and a node is always in ``seen``
+            # every node as it is, and a node is always in ``seen``; any
+            # other insertion needs reducing only where a seam cancels
+            left, right = inverse[rep[0]], inverse[rep[-1]]
             for pos in range(size + 1):
-                yield label, pos, _splice(node, pos, pos, rep, inverse)
+                if (pos and node[pos - 1] == left) or (pos < size and node[pos] == right):
+                    yield label, pos, _splice(node, pos, pos, rep, inverse)
+                else:
+                    yield label, pos, node[:pos] + rep + node[pos:]
 
 
 def bfs_equal(
@@ -207,15 +228,16 @@ def bfs_equal(
         raise ValueError(
             f"search budgets must be >= 0, got depth {max_depth} and width {max_frontier}"
         )
-    coding = _coding(u.params)
-    start = coding.encode(free_reduce_letters(u.letters + v.inverse().letters))
-    if not start:
+    letters = free_reduce_letters(u.letters + v.inverse().letters)
+    if not letters:
         return ProofResult(PROVEN_EQUAL, (), 1)
-    seen: set[Codes] = {start}
-    parent: dict[Codes, tuple[Codes, str, int]] = {}
-    frontier: list[Codes] = [start]
+    coding = _coding(u.params)
+    start = coding.encode(letters)
+    seen: set[Node] = {start}
+    parent: dict[Node, tuple[Node, str, int]] = {}
+    frontier: list[Node] = [start]
     for _ in range(max_depth):
-        nxt: list[Codes] = []
+        nxt: list[Node] = []
         for node in frontier:
             for label, pos, out in _successors(node, coding):
                 if out in seen:
@@ -224,7 +246,7 @@ def bfs_equal(
                 parent[out] = (node, label, pos)
                 if not out:
                     path: list[Step] = []
-                    cur: Codes = out
+                    cur: Node = out
                     while cur != start:
                         prev, lab, p = parent[cur]
                         path.append((lab, p))

@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import uvbraid
-from uvbraid.cli import run
+from uvbraid.cli import _json, run
 from uvbraid.verify import build_graph
 
 from test_raag import vertices_commute
@@ -342,6 +344,40 @@ def test_hom_enumerate_nan_time_budget_exits_2(capsys):
     assert captured.err == "error: time budget must be a number of seconds or inf, got nan\n"
     assert run([*argv, "inf"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 60
+
+
+# Strings over every code point, lone surrogates and control characters
+# included; ints past 64 bits; floats with nan and inf; keys of every
+# type json accepts, so that the writer's fallback runs too.
+TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**130), 2**130)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | TEXT
+)
+KEYS = TEXT | st.integers(-(2**70), 2**70) | st.booleans() | st.none() | st.floats()
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(TEXT, inner, max_size=5)
+        | st.dictionaries(KEYS, inner, max_size=3)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(DOCUMENTS)
+@example([True, False, 1, 0, None])
+@example({"a": [], "b": {}, "c": [[], [{}], ()], "\u00e9\n\x00": "\ud800\t\u2028"})
+@example([-(2**64) - 1, 2**64, float("nan"), float("-inf"), {1: {True: [None]}}])
+def test_json_writer_matches_json_dumps(doc):
+    assert _json(doc) == json.dumps(doc, indent=2)
 
 
 def test_output_is_byte_identical(capsys):

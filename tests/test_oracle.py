@@ -52,6 +52,26 @@ def test_rejects_negative_budgets(budget):
         bfs_equal(w, w, **budget)
 
 
+def test_free_reduced_pair_is_proven_before_any_table_is_built():
+    # (23, 5) is used by no other test: 22 * 11 = 242 letters and
+    # tens of thousands of rules that an equal-by-free-reduction pair
+    # must not pay for
+    p = Params(23, 5)
+    before = rewrite_rules.cache_info(), _coding.cache_info()
+    res = bfs_equal(parse_word("r1 s2.5", p), parse_word("r1 S1.1 s1.1 s2.5", p))
+    assert res == ProofResult(PROVEN_EQUAL, (), 1)
+    assert (rewrite_rules.cache_info(), _coding.cache_info()) == before
+
+
+def test_refuses_an_alphabet_beyond_one_character_per_code():
+    # (n-1)(2c+1) = 1,114,113 letters, one more than there are characters
+    p = Params(2, 557056)
+    before = alphabet.cache_info()
+    with pytest.raises(ValueError, match="at most 1114112 letters, got 1114113"):
+        bfs_equal(parse_word("r1", p), parse_word("s1.1", p))
+    assert alphabet.cache_info() == before
+
+
 def test_rule_table_labels():
     rules = rewrite_rules(Params(4, 1))
     assert "braid(r1):fwd" in rules
@@ -102,7 +122,7 @@ def test_coded_splice_is_the_free_reduced_rewrite(case):
                 continue
             out = _splice(node, pos, pos + span, rep, coding.inverse)
             want = free_reduce_letters(apply_rule(letters, rules[label], pos))
-            assert tuple(decode[x] for x in out) == want, (label, pos)
+            assert tuple(decode[ord(x)] for x in out) == want, (label, pos)
 
 
 def test_apply_rule_validates_position():

@@ -1,10 +1,10 @@
-"""The integer-coded oracle search against the ``Letter`` search it replaced.
+"""The string-coded oracle search against the ``Letter`` search it replaced.
 
 ``reference_bfs_equal`` is the earlier breadth-first search: it runs on
 tuples of ``Letter``s and free-reduces every successor from scratch with
 ``free_reduce_letters``.  It reads only ``rewrite_rules``, never the
-integer coding, so equal ``ProofResult``s (verdict, path and explored)
-show that the coded search visits the same nodes in the same order.
+coding, so equal ``ProofResult``s (verdict, path and explored) show that
+the coded search visits the same nodes in the same order.
 """
 
 import random
@@ -12,7 +12,7 @@ from typing import Iterator
 
 import pytest
 
-from uvbraid import Params, ProofResult, Word, bfs_equal, random_word, rewrite_rules
+from uvbraid import Params, ProofResult, Word, bfs_equal, parse_word, random_word, rewrite_rules
 from uvbraid.oracle import PROVEN_EQUAL, UNKNOWN, Rule, Step
 from uvbraid.words import Letter, alphabet, free_reduce_letters, relator_words
 
@@ -138,3 +138,28 @@ def test_small_budgets_stop_where_the_reference_stops(budget):
     rng = random.Random(43)
     for k in range(6):
         assert_same(*relator_pair(params, rng, equal=k % 2 == 0), **budget)
+
+
+# UV(3, 64) has 2 * 129 = 258 letters, so s2.64 and S2.64 are coded as
+# chr(256) and chr(257) and their nodes need more than one byte per
+# character.  The pairs below are three slide instances, a flipped
+# crossing and an inserted braid relator, then seeded relator pairs.  At n = 2 no rule
+# but a cancelling pair exists, so n = 3 is the cheapest such alphabet
+# on which the search does anything.
+WIDE_PAIRS = (
+    ("r1 r2 s1.64", "s2.64 r1 r2"),
+    ("r1 s2.64 r1", "r2 s1.64 r2"),
+    ("S1.64 r2 r1", "r2 r1 S2.64"),
+    ("s2.64 s1.63", "S2.64 s1.63"),
+    ("s1.64 S2.64", "s1.64 r1 r2 r1 r2 r1 r2 S2.64"),
+)
+
+
+def test_an_alphabet_past_one_byte_per_letter_matches_the_reference():
+    params = Params(3, 64)
+    assert len(alphabet(params)) == 258
+    rng = random.Random(47)
+    pairs = [(parse_word(u, params), parse_word(v, params)) for u, v in WIDE_PAIRS]
+    pairs += [relator_pair(params, rng, equal=k % 2 == 0) for k in range(6)]
+    verdicts = [assert_same(u, v, max_depth=3, max_frontier=2000).verdict for u, v in pairs]
+    assert verdicts[:5] == [PROVEN_EQUAL] * 3 + [UNKNOWN, PROVEN_EQUAL]
