@@ -11,11 +11,12 @@ column by column, where the slide relations force every image beyond
 the first row.  Each relation is checked once, when its last generator
 is assigned; the involution and slide relations hold by construction
 and are not checked at all, so a full assignment is kept as it stands.
-The search runs up to conjugation in S_m: r1 is tried only on one
-involution per conjugacy class, and the homomorphisms found there are
-conjugated onto every other involution of that class.  Budgets are node
-count plus wall clock, with the node count that of the plain search
-over every involution; exceeding one raises, never truncates silently.
+The search runs up to conjugation in S_m: under r1 only the first
+involution of each conjugacy class is searched, and the homomorphisms
+found there are conjugated onto each later involution of that class.
+Budgets are node count plus wall clock, with the node count that of the
+plain search over every involution; exceeding one raises, never
+truncates silently.
 
 The on/off family ``hom_from_bits`` is indexed by c+1 bits: bit t
 sends every colour-t crossing to its adjacent transposition or to the
@@ -36,7 +37,7 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Optional
 
 from .perms import Perm, adjacent, all_perms, identity
 from .words import SIGMA, Codes, Params, Word, relation_codes
@@ -234,17 +235,6 @@ class BudgetExceededError(RuntimeError):
         self.partial = partial
 
 
-class _NodesSpent(Exception):
-    """The node budget ran out inside ``enumerate_homs``."""
-
-
-def _class_representatives(m: int) -> list[Image]:
-    """One involution of S_m per conjugacy class: (0 1)(2 3)...(2k-2 2k-1)."""
-    return [
-        tuple(x ^ 1 if x < 2 * k else x for x in range(m)) for k in range(m // 2 + 1)
-    ]
-
-
 def _conjugator(y: Image) -> tuple[int, Image]:
     """(k, g) with g x_k g^-1 = y for the class representative x_k of y.
 
@@ -274,16 +264,17 @@ def enumerate_homs(
 
     The search runs up to conjugation in S_m.  Conjugating by g maps
     homomorphisms to homomorphisms, and the search subtree under
-    r1 = x onto the one under r1 = g x g^-1.  So r1 is tried only on the
-    class representatives x_k = (0 1)(2 3)...(2k-2 2k-1), and for each
-    involution y the homomorphisms H_x found under its representative x
-    are conjugated to g H_x g^-1 by the g of ``_conjugator``.  The plain
-    search, with r1 over every involution, spends exactly
-    |involutions| + sum_x |class(x)| * sub(x) nodes, where sub(x) is the
-    node count under r1 = x.  If the representative searches exceed
-    ``max_nodes``, or that total does, the plain search runs instead, so
-    a node budget error carries the same message and partial list as
-    the plain search alone would.
+    r1 = x onto the one under r1 = g x g^-1, node for node.  r1 runs
+    over the involutions in the plain search's order, one node each.
+    The first involution y0 of each class k (its number of 2-cycles) has
+    its subtree searched; its homomorphisms H, its node count sub and the
+    g0 of ``_conjugator`` are recorded.  A later involution y of class k
+    with conjugator g is charged sub nodes without a search, and gets
+    c H c^-1 with c = g g0^-1, since c y0 c^-1 = y.  If sub nodes would
+    pass ``max_nodes``, y's subtree is searched instead, and it runs out
+    at the very node where the plain search over every involution would.
+    So the node count, a node budget error's message and its partial
+    list are exactly the plain search's.
 
     The clock is checked once the relation table is built, every 256
     nodes, before each full assignment is kept and before each
@@ -324,7 +315,9 @@ def enumerate_homs(
         nonlocal nodes
         nodes += 1
         if nodes > budget.max_nodes:
-            raise _NodesSpent
+            raise BudgetExceededError(
+                f"node budget {budget.max_nodes} exceeded", sorted_homs(found)
+            )
         if nodes % 256 == 0:
             check_time()
 
@@ -351,14 +344,10 @@ def enumerate_homs(
     def keep(images: tuple[Image, ...]) -> None:
         found.append(_homspec(m, [perm_of[g] for g in images], n))
 
-    # r1's candidates, and where a full assignment goes: rebound per search below
-    firsts: list[Image] = involutions
-    leaf: Callable[[tuple[Image, ...]], None] = keep
-
     def assign(k: int) -> None:
         if k == len(imgs):
             check_time()
-            leaf(tuple(imgs))
+            keep(tuple(imgs))
             return
         row = k % (n - 1)
         if k >= n - 1 and row:
@@ -367,39 +356,34 @@ def enumerate_homs(
             if holds(k):
                 assign(k + 1)
             return
-        for g in (firsts if k == 0 else involutions if k < n - 1 else sym):
+        for g in (involutions if k < n - 1 else sym):
             spend()
             imgs[k] = g
             if holds(k):
                 assign(k + 1)
 
-    reps: list[tuple[list[tuple[Image, ...]], int]] = []  # (H_x, sub(x)) per representative
-    try:
-        for x in _class_representatives(m):
-            rep_homs: list[tuple[Image, ...]] = []
-            firsts, leaf, before = [x], rep_homs.append, nodes
-            assign(0)
-            reps.append((rep_homs, nodes - before - 1))
-        classes = [_conjugator(y) for y in involutions]
-        fits = len(involutions) + sum(reps[k][1] for k, _ in classes) <= budget.max_nodes
-    except _NodesSpent:
-        fits = False
-    if not fits:
-        # the plain search, whose node budget error is the one to report
-        nodes, firsts, leaf = 0, involutions, keep
-        try:
-            assign(0)
-        except _NodesSpent:
-            raise BudgetExceededError(
-                f"node budget {budget.max_nodes} exceeded", sorted_homs(found)
-            ) from None
-        return sorted_homs(found)
-    for k, g in classes:
-        inverse = tuple(sorted(range(m), key=g.__getitem__))
-        for images in reps[k][0]:
-            check_time()
-            # g a g^-1 sends z to g(a(g^-1(z)))
-            keep(tuple(tuple(g[a[z]] for z in inverse) for a in images))
+    # per class k: the homomorphisms under its first involution, as image
+    # tuples, the node count of that involution's subtree, and its g
+    searched: dict[int, tuple[list[list[Image]], int, Image]] = {}
+    for y in involutions:
+        spend()
+        k, g = _conjugator(y)
+        if k in searched and nodes + searched[k][1] <= budget.max_nodes:
+            first_homs, sub, g0 = searched[k]
+            nodes += sub
+            # c = g g0^-1 sends g0(z) to g(z), so c y0 c^-1 = y; and
+            # c a c^-1 sends z to c(a(c^-1(z)))
+            c = tuple(map(dict(zip(g0, g)).__getitem__, one))
+            c_inverse = tuple(map(dict(zip(g, g0)).__getitem__, one))
+            for images in first_homs:
+                check_time()
+                keep(tuple(tuple(c[a[z]] for z in c_inverse) for a in images))
+            continue
+        # no relation is completed by r1 alone once invol(r1) is left out
+        imgs[0], before, start = y, nodes, len(found)
+        assign(1)
+        if k not in searched:
+            searched[k] = ([_code_images(h) for h in found[start:]], nodes - before, g)
     return sorted_homs(found)
 
 

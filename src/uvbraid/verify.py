@@ -472,12 +472,5 @@ def check_oracle_coherence(seed: int) -> tuple[list[str], str]:
     )
 
 
-def run_check(claim: str, seed: int = DEFAULT_SEED) -> CheckResult:
-    for name, fn in CHECKS:
-        if name == claim:
-            return fn(seed)
-    raise ValueError(f"unknown claim {claim!r}")
-
-
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return [fn(seed) for _, fn in CHECKS]

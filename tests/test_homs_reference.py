@@ -179,16 +179,29 @@ def test_enumeration_matches_reference(n, c, m):
     assert all(verify_homspec(h, p) == (True, None) for h in found)
 
 
-# (5, 1, 4) needs exactly 1,270 nodes.  At (5, 1, 5) the class
-# representatives of r1's image need 2,869 nodes and the whole search
-# 28,934, so 10,000 lets the representatives finish and then falls back.
-@pytest.mark.parametrize(
-    "n,c,m,max_nodes",
-    [
-        (6, 6, 3, 300), (5, 2, 4, 100), (5, 1, 5, 2000), (4, 2, 3, 50),
-        (5, 1, 4, 1269), (5, 1, 4, 1270), (5, 1, 5, 10000),
-    ],
+# The node count of the whole search, which is the least budget that completes.
+TOTAL_NODES = {(6, 6, 3): 4460, (5, 2, 4): 2998, (5, 1, 5): 28934, (4, 2, 3): 264, (5, 1, 4): 1270}
+# Where each r1 subtree ends, in the plain search's order of r1's involutions.
+# The first subtree of a conjugacy class is searched; a later one is charged
+# the first one's count if it fits the budget, and searched otherwise.
+SUBTREE_ENDS = {
+    (5, 1, 4): [55, 230, 405, 580, 755, 810, 985, 1040, 1215, 1270],
+    (5, 2, 4): [631, 902, 1173, 1444, 1715, 1962, 2233, 2480, 2751, 2998],
+}
+BUDGET_CASES = [
+    (6, 6, 3, 300), (5, 2, 4, 100), (5, 1, 5, 2000), (4, 2, 3, 50),
+    (5, 1, 4, 1269), (5, 1, 4, 1270), (5, 1, 5, 10000),
+]
+BUDGET_CASES += sorted(
+    {(*shape, end + d) for shape, ends in SUBTREE_ENDS.items() for end in ends for d in (-1, 0, 1)}
+    - set(BUDGET_CASES)
 )
+
+
+# At (5, 1, 5), with 10,000 nodes, the first subtree of each class of r1's
+# image is searched, and the budget runs out in a later subtree whose class
+# count no longer fits.
+@pytest.mark.parametrize("n,c,m,max_nodes", BUDGET_CASES)
 def test_node_budget_stops_where_the_reference_stops(n, c, m, max_nodes):
     p = Params(n, c)
     budget = SearchBudget(max_nodes=max_nodes, max_seconds=60.0)
@@ -201,8 +214,34 @@ def test_node_budget_stops_where_the_reference_stops(n, c, m, max_nodes):
 
     ours = outcome(enumerate_homs)
     assert ours == outcome(reference_enumerate_homs)
-    # only the exact node count completes
-    assert (ours[0] == "ok") == (max_nodes == 1270)
+    # only a budget that covers the whole search completes
+    assert (ours[0] == "ok") == (max_nodes >= TOTAL_NODES[n, c, m])
+
+
+def test_a_node_budget_error_does_not_search_again(monkeypatch):
+    import uvbraid.homs
+
+    products = 0
+    real_product = uvbraid.homs._product
+
+    def counting_product(*args):
+        nonlocal products
+        products += 1
+        return real_product(*args)
+
+    monkeypatch.setattr(uvbraid.homs, "_product", counting_product)
+    p = Params(5, 1)
+    enumerate_homs(p, 5, SearchBudget(max_nodes=10**9, max_seconds=60.0))
+    unlimited, products = products, 0
+    # a budget of exactly the node count still charges the last subtree by count
+    enumerate_homs(p, 5, SearchBudget(max_nodes=TOTAL_NODES[5, 1, 5], max_seconds=60.0))
+    assert products == unlimited
+    products = 0
+    with pytest.raises(BudgetExceededError, match="node budget 10000 exceeded"):
+        enumerate_homs(p, 5, SearchBudget(max_nodes=10_000, max_seconds=60.0))
+    # searching again from r1's first involution to report the error would
+    # walk every subtree, evaluating more than twice the unlimited run's products
+    assert products < 2 * unlimited
 
 
 def _random_spec(rng: random.Random, p: Params, m: int, pool: list) -> HomSpec:
