@@ -4,10 +4,11 @@
 reduction of u * v^-1, seeking the empty word.  Each search step
 applies one directed rewrite at one position and then free-reduces:
 either side of a defining relation replaced by the other (including
-the sign-flipped forms of the slide relation), insertion or deletion
-of a whole relator, or insertion of a cancelling pair r<i> r<i> or
-s S / S s.  Every rule preserves the group element, so a found path
-is a proof of equality; the result is three-valued and never claims
+the sign-flipped forms of the slide relation), or insertion or
+deletion of a whole relator.  Free reduction after every step already
+covers cancelling pairs r<i> r<i> and s S / S s, so no rule inserts
+one.  Every rule preserves the group element, so a found path is a
+proof of equality; the result is three-valued and never claims
 inequality.  Exhausting the depth or overflowing the frontier budget
 returns Unknown.
 
@@ -18,11 +19,9 @@ rules of ``rewrite_rules`` are compiled into such strings once per
 concatenation, hashing and the pattern scan (``str.find``) in C, where
 tuples of integers would hash element by element.  Every stored word is
 free-reduced, so a rewrite only needs reducing at its two seams, and an
-insertion whose seams cannot cancel is a plain concatenation.  A
-cancelling-pair insertion reduces straight back to the word it was
-applied to, so the search skips it without changing what it visits.
-Words are encoded on the way in, after the free reduction of u * v^-1
-is found non-empty; the result holds only rule labels and positions.
+insertion whose seams cannot cancel is a plain concatenation.  Words are
+encoded on the way in, after the free reduction of u * v^-1 is found
+non-empty; the result holds only rule labels and positions.
 
 Proof paths are replayable: ``replay`` applies the recorded
 (rule, position) steps to u * v^-1 on ``Letter``s, independently of the
@@ -34,7 +33,7 @@ what makes it a useful cross-check.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -98,12 +97,6 @@ def rewrite_rules(params: Params) -> dict[str, Rule]:
     for x, y in commuting:
         rules[f"comm({x.token()},{y.token()})"] = ((x, y), (y, x))
         rules[f"comm({y.token()},{x.token()})"] = ((y, x), (x, y))
-    for i in range(1, n):
-        rules[f"ins(r{i})"] = ((), (rho(i), rho(i)))
-    for i in range(1, n):
-        for t in range(1, c + 1):
-            rules[f"ins(s{i}.{t})"] = ((), (sigma(i, t, 1), sigma(i, t, -1)))
-            rules[f"ins(S{i}.{t})"] = ((), (sigma(i, t, -1), sigma(i, t, 1)))
     for i in range(1, n - 1):
         for t in range(1, c + 1):
             both_ways(
@@ -162,16 +155,12 @@ def _coding(params: Params) -> _Coding:
         )
     letters = alphabet(params)
     code = {letter: chr(x) for x, letter in enumerate(letters)}
-    inverse = {code[letter]: code[letter.inverse()] for letter in letters}
-
-    def encode(word: tuple[Letter, ...]) -> Node:
-        return "".join([code[letter] for letter in word])
-
+    coding = _Coding(code, {code[letter]: code[letter.inverse()] for letter in letters}, ())
     rules = tuple(
-        (label, encode(pattern), encode(free_reduce_letters(rep)))
+        (label, coding.encode(pattern), coding.encode(free_reduce_letters(rep)))
         for label, (pattern, rep) in rewrite_rules(params).items()
     )
-    return _Coding(code, inverse, rules)
+    return replace(coding, rules=rules)
 
 
 def _splice(node: Node, i: int, j: int, rep: Node, inverse: dict[str, str]) -> Node:
@@ -206,10 +195,8 @@ def _successors(node: Node, coding: _Coding) -> Iterator[tuple[str, int, Node]]:
             while pos >= 0:
                 yield label, pos, _splice(node, pos, pos + span, rep, inverse)
                 pos = node.find(pattern, pos + 1)
-        elif rep:
-            # an inserted pair that cancels (r<i> r<i>, s S, S s) leaves
-            # every node as it is, and a node is always in ``seen``; any
-            # other insertion needs reducing only where a seam cancels
+        else:
+            # an insertion needs reducing only where a seam cancels
             left, right = inverse[rep[0]], inverse[rep[-1]]
             for pos in range(size + 1):
                 if (pos and node[pos - 1] == left) or (pos < size and node[pos] == right):

@@ -27,6 +27,9 @@ from .homs import abelianize
 from .perms import Perm, adjacent, identity, strand_permutation
 from .words import SIGMA, Letter, Params, Word, rho, sigma, word
 
+# Largest order that ``quotient_order`` certifies by closure.
+CLOSURE_LIMIT = 20_000
+
 
 @dataclass(frozen=True, slots=True)
 class QuotElem:
@@ -119,10 +122,10 @@ class OrderCertificate:
     closure_size: Optional[int]
 
 
-def quotient_order(params: Params, d: int, closure_limit: int = 20_000) -> OrderCertificate:
+def quotient_order(params: Params, d: int) -> OrderCertificate:
     """Order d^c * n! of the quotient, with a surjectivity certificate.
 
-    Up to ``closure_limit`` elements the certificate is the closure of
+    Up to ``CLOSURE_LIMIT`` elements the certificate is the closure of
     the images of r1..r<n-1> and s1.1..s1.c under multiplication (a
     finite submonoid is a subgroup, so reaching every element proves
     that these n-1+c images alone generate the group).  Beyond
@@ -136,7 +139,7 @@ def quotient_order(params: Params, d: int, closure_limit: int = 20_000) -> Order
         raise ValueError(f"quotient order needs n >= 2, got n={params.n}")
     n_fact = math.factorial(params.n)
     order = d**params.c * n_fact
-    if order <= closure_limit:
+    if order <= CLOSURE_LIMIT:
         size = len(_closure(params, d))
         if size != order:
             raise RuntimeError(f"closure reached {size} elements, expected {order}")

@@ -40,7 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .words import Params
+from .words import LetterSequence, Params
 
 Vertex = tuple[int, int, int]
 # A kernel letter d<i>.<j>.<t>^sign as the plain tuple (i, j, t, sign).
@@ -88,32 +88,12 @@ def check_kletter(letter: KLetter, params: Params) -> None:
 
 
 @dataclass(frozen=True)
-class KWord:
+class KWord(LetterSequence):
     """A word in the kernel generators, tied to fixed parameters."""
-
-    params: Params
-    letters: tuple[KLetter, ...] = ()
 
     def __post_init__(self) -> None:
         for letter in self.letters:
             check_kletter(letter, self.params)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[KLetter]:
-        return iter(self.letters)
-
-    def __mul__(self, other: "KWord") -> "KWord":
-        if self.params != other.params:
-            raise ValueError("cannot concatenate kernel words with different parameters")
-        return KWord(self.params, self.letters + other.letters)
-
-    def inverse(self) -> "KWord":
-        return KWord(self.params, tuple([l.inverse() for l in reversed(self.letters)]))
-
-    def __str__(self) -> str:
-        return " ".join(l.token() for l in self.letters)
 
 
 def vertices(params: Params) -> Iterator[Vertex]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterator
+from typing import Iterator, TypeVar
 
 RHO = "r"
 SIGMA = "s"
@@ -112,12 +112,45 @@ def check_letter(letter: Letter, params: Params) -> None:
         )
 
 
+S = TypeVar("S", bound="LetterSequence")
+
+
 @dataclass(frozen=True)
-class Word:
-    """An immutable word in the generators, tied to fixed parameters."""
+class LetterSequence:
+    """Letters tied to fixed parameters: the sequence methods that
+    ``Word`` and ``raag.KWord`` share.  Each letter has ``inverse`` and
+    ``token``; products and inverses keep the operands' type."""
 
     params: Params
-    letters: tuple[Letter, ...] = ()
+    letters: tuple = ()
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.letters)
+
+    def __mul__(self: S, other: S) -> S:
+        if type(other) is not type(self):
+            raise ValueError(
+                f"cannot concatenate a {type(self).__name__} and a {type(other).__name__}"
+            )
+        if self.params != other.params:
+            raise ValueError(
+                f"cannot concatenate words with parameters {self.params} and {other.params}"
+            )
+        return type(self)(self.params, self.letters + other.letters)
+
+    def inverse(self: S) -> S:
+        return type(self)(self.params, tuple([l.inverse() for l in reversed(self.letters)]))
+
+    def __str__(self) -> str:
+        return " ".join(l.token() for l in self.letters)
+
+
+@dataclass(frozen=True)
+class Word(LetterSequence):
+    """An immutable word in the generators, tied to fixed parameters."""
 
     def __post_init__(self) -> None:
         n, c = self.params.n, self.params.c
@@ -126,25 +159,6 @@ class Word:
             # check_letter raises with the message.
             if not 0 < letter.i < n or (letter.kind == SIGMA and not 0 < letter.t <= c):
                 check_letter(letter, self.params)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        if self.params != other.params:
-            raise ValueError(
-                f"cannot concatenate words with parameters {self.params} and {other.params}"
-            )
-        return Word(self.params, self.letters + other.letters)
-
-    def inverse(self) -> "Word":
-        return Word(self.params, tuple([l.inverse() for l in reversed(self.letters)]))
-
-    def __str__(self) -> str:
-        return " ".join(l.token() for l in self.letters)
 
 
 def word(params: Params, *letters: Letter) -> Word:

@@ -48,7 +48,8 @@ CHECK_SWAPS = ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1), (3, 1, 2))
 CHECK_MALFORMED = ("{nope", '{"m": 3}', "[1,2]")
 BUDGET_CASES = (("6", "6", "3", "300"), ("5", "2", "4", "100"), ("5", "1", "5", "2000"))
 # (n, c, m) with m = 4 or 5, then node budgets: (5, 1, 4) needs exactly 1,270
-# nodes, and (5, 1, 5) needs 28,934, of which its class representatives take 2,869.
+# nodes, and (5, 1, 5) needs 28,934, of which the first involution of each
+# class and its subtree take 2,869: 3 nodes for r1 plus 2,866 in the subtrees.
 M45_CASES = ((5, 1, 5), (6, 1, 5), (5, 2, 4), (4, 2, 4), (7, 1, 4), (6, 2, 4))
 M45_BUDGETS = ((5, 1, 4, 1269), (5, 1, 4, 1270), (5, 1, 5, 10000))
 # Per strand count: the README pair, a pair equal by one relator inserted

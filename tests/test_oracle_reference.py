@@ -143,9 +143,9 @@ def test_small_budgets_stop_where_the_reference_stops(budget):
 # UV(3, 64) has 2 * 129 = 258 letters, so s2.64 and S2.64 are coded as
 # chr(256) and chr(257) and their nodes need more than one byte per
 # character.  The pairs below are three slide instances, a flipped
-# crossing and an inserted braid relator, then seeded relator pairs.  At n = 2 no rule
-# but a cancelling pair exists, so n = 3 is the cheapest such alphabet
-# on which the search does anything.
+# crossing and an inserted braid relator, then seeded relator pairs.  At n = 2
+# there is no rule, as free reduction absorbs the one relator r1 r1, so n = 3
+# is the cheapest such alphabet on which the search does anything.
 WIDE_PAIRS = (
     ("r1 r2 s1.64", "s2.64 r1 r2"),
     ("r1 s2.64 r1", "r2 s1.64 r2"),

@@ -18,7 +18,7 @@ from uvbraid import (
     random_word,
     relator_words,
 )
-from uvbraid.quotients import _closure, _letter_image, quotient_identity
+from uvbraid.quotients import CLOSURE_LIMIT, _closure, _letter_image, quotient_identity
 from uvbraid.words import alphabet, rho, sigma
 
 from perm_reference import compose
@@ -182,11 +182,13 @@ def test_flat_closure_matches_qmul_closure(n, c, d):
 
 
 def test_quotient_order_units_certificate():
-    # past the closure budget the order is certified structurally
-    cert = quotient_order(Params(5, 2), 2, closure_limit=100)
-    assert cert.order == 480
-    assert cert.method == "units"
-    assert cert.closure_size is None
+    # past CLOSURE_LIMIT the order is certified structurally: 4 * 7! just
+    # passes it, while 3 * 7! is still closed
+    assert 3 * 5040 <= CLOSURE_LIMIT < 4 * 5040
+    cert = quotient_order(Params(7, 1), 4)
+    assert (cert.order, cert.method, cert.closure_size) == (20_160, "units", None)
+    cert = quotient_order(Params(7, 1), 3)
+    assert (cert.order, cert.method, cert.closure_size) == (15_120, "closure", 15_120)
 
 
 def test_quotient_order_small_cases():

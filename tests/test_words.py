@@ -2,6 +2,8 @@ import pytest
 
 from uvbraid import words
 from uvbraid import (
+    KLetter,
+    KWord,
     Letter,
     Params,
     ParseError,
@@ -119,6 +121,29 @@ def test_word_inverse():
     w = parse_word("r1 s2.1", p)
     assert str(w.inverse()) == "S2.1 r1"
     assert str(free_reduce(w * w.inverse())) == ""
+
+
+# (class, letters, str, str of the inverse) for each kind of word
+SEQUENCES = {
+    "Word": (Word, (rho(1), sigma(2, 1, -1)), "r1 S2.1", "s2.1 r1"),
+    "KWord": (KWord, (KLetter(1, 3, 1), KLetter(2, 1, 1, -1)), "d1.3.1 D2.1.1", "d2.1.1 D1.3.1"),
+}
+
+
+@pytest.mark.parametrize("cls, letters, text, inverse", SEQUENCES.values(), ids=SEQUENCES)
+def test_sequence_methods(cls, letters, text, inverse):
+    p = Params(3, 1)
+    w = cls(p, letters)
+    assert (len(w), tuple(w), str(w)) == (2, letters, text)
+    assert (len(cls(p)), tuple(cls(p)), str(cls(p))) == (0, (), "")
+    assert type(w.inverse()) is cls and str(w.inverse()) == inverse
+    assert w * w.inverse() == cls(p, letters + w.inverse().letters)
+    with pytest.raises(ValueError, match=r"parameters Params\(n=3, c=1\) and Params\(n=4, c=1\)"):
+        w * cls(Params(4, 1), letters)
+    other_cls, other_letters, _, _ = SEQUENCES["KWord" if cls is Word else "Word"]
+    other = other_cls(p, other_letters)
+    with pytest.raises(ValueError, match=f"a {cls.__name__} and a {other_cls.__name__}"):
+        w * other
 
 
 def test_free_reduce_cancels_rho_pairs():
