@@ -75,8 +75,8 @@ ORACLE_BUDGETS = tuple((d, 300) for d in range(7)) + ((6, 1), (6, 5))
 # Argument errors, help and dispatch edge cases: help texts (wrapped at
 # COLUMNS=80), unknown commands and modes, missing, malformed, abbreviated
 # (--wo, the ambiguous --max) and repeated options, unknown options and
-# extra positionals, options before the mode, ``graph``'s mode after its
-# flags, ``--`` before eq's words, and an option verify-paper lacks.
+# extra positionals, options and help before the mode, ``graph``'s mode
+# after its flags, ``--`` before eq's words, and an option verify-paper lacks.
 N3 = ("--n", "3")
 CLI_ERRORS = (
     (), ("-h",), ("vcd", "-h"), ("hom", "enumerate", "-h"),
@@ -96,6 +96,8 @@ CLI_ERRORS = (
     ("graph", "--n", "3", "stats"), ("graph", "bogus"), ("graph", "--n", "3"),
     ("eq", *N3, "--", "r1", "r1"), ("eq", *N3, "r1", "--", "S1.1"),
     ("verify-paper", "--n", "3"),
+    ("graph", "stats", "-h"), ("graph", "stats", "--n", "x"), ("hom", "-h", "enumerate"),
+    ("quot", "--n", "5", "--c", "2", "order", "--d", "2"),
 )
 # Seeded random words and pairs for nf and eq: RANDOM_COUNT at n = 1..8,
 # c = 1..3, then WIDE_COUNT of WIDE_LEN letters at WIDE_NC.
@@ -306,7 +308,7 @@ GOLDEN = {
     "perm": "ad04523f295fea157fee5a3a8c39f8a909a594ef50c6b5ea3d00ecdd13f24d5b",
     "ab": "888eb9a2d8393be8db64e735db551781d7a1389cb6637155ddaa6139e5558507",
     "chi": "64bd265db635fb4159ed18f76f802acc49f8c408e98c96614e82e3769c496e3c",
-    "cli errors": "12334d1edd081bff396a19def007ab036ea21c04cde6e0d44e1d9b1355d45dab",
+    "cli errors": "be76e88f0c3ee18a0e3eea2f633ba3e4d9a86cb41bd1d3fafaf5b6647e70114f",
     "eq": "d639ae48b060ef6dcaf15a0731d94ffa3d63146d607c01110eeec492745aadac",
     "nf random": "d3e50247d8176479f9b11d62c6a12acbf97b24c95bd7f12845b8b550f598f47a",
     "eq random": "4f48663184e36a23afe94d521bd16658df4154e699e7e9a00d0ea768307b60aa",
