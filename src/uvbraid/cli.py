@@ -6,7 +6,7 @@ is deterministic: identical invocations produce identical bytes.
 
 Exit codes: 0 on success, 2 on domain errors (bad parameters, malformed
 words, unreadable input) with a message on stderr, 64 for an unknown
-subcommand, and 1 when ``verify-paper`` finds a failing claim.
+subcommand or mode, and 1 when ``verify-paper`` finds a failing claim.
 """
 
 from __future__ import annotations
@@ -276,9 +276,8 @@ _WORD = _arg("--word", required=True, help="word over r<i> / s<i>.<t> tokens")
 _PAIR = (_arg("left", help="first word"), _arg("right", help="second word"))
 
 # One row per command or mode: (command, mode, help, arguments, handler).
-# A row without mode or handler heads a command whose modes are the
-# sub-commands in the rows below it; ``graph`` instead takes its mode as
-# a positional argument, so it may follow the flags.
+# A row without mode or handler heads a command whose modes are the rows
+# below it.
 _TABLE = (
     ("nf", None, "canonical normal form of a word", (*_PARAMS, _WORD), _cmd_nf),
     ("trivial", None, "test whether a word is the identity", (*_PARAMS, _WORD), _cmd_trivial),
@@ -289,10 +288,9 @@ _TABLE = (
     ("perm", None, "strand and virtual permutations of a word", (*_PARAMS, _WORD), _cmd_perm),
     ("ab", None, "image in the abelianisation", (*_PARAMS, _WORD), _cmd_ab),
     ("eq", None, "decide equality of two words", (*_PARAMS, *_PAIR), _cmd_eq),
-    (
-        "graph", None, "kernel commutation graph",
-        (_arg("mode", choices=["dot", "stats"]), *_PARAMS), _cmd_graph,
-    ),
+    ("graph", None, "kernel commutation graph", (), None),
+    ("graph", "dot", "the graph in DOT", _PARAMS, _cmd_graph),
+    ("graph", "stats", "vertex, edge and degree counts", _PARAMS, _cmd_graph),
     ("vcd", None, "clique number of the commutation graph", _PARAMS, _cmd_vcd),
     ("howson", None, "induced-path-freeness classification", _PARAMS, _cmd_howson),
     (
@@ -323,8 +321,8 @@ _TABLE = (
         (
             *_PARAMS,
             _arg("--m", type=int, required=True, help="target degree"),
-            _arg("--max-nodes", type=int, default=2_000_000),
-            _arg("--max-seconds", type=float, default=300.0),
+            _arg("--max-nodes", type=int, default=homs.SearchBudget.max_nodes),
+            _arg("--max-seconds", type=float, default=homs.SearchBudget.max_seconds),
         ),
         _cmd_hom_enumerate,
     ),
@@ -353,8 +351,8 @@ _TABLE = (
         "oracle", "eq", "search for a rewriting proof of equality",
         (
             *_PARAMS,
-            _arg("--depth", type=int, default=8, help="maximum proof length"),
-            _arg("--width", type=int, default=200_000, help="frontier size cap"),
+            _arg("--depth", type=int, default=oracle.MAX_DEPTH, help="maximum proof length"),
+            _arg("--width", type=int, default=oracle.MAX_FRONTIER, help="frontier size cap"),
             *_PAIR,
         ),
         _cmd_oracle_eq,
@@ -375,63 +373,57 @@ _Parsers = tuple[
 
 @functools.cache
 def _parser() -> _Parsers:
-    """The argparse tree, every command's modes and each handler row's
-    leaf parser keyed by (command, mode), all read off ``_TABLE``."""
+    """The top parser, every command's modes and each handler row's own
+    parser keyed by (command, mode), all read off ``_TABLE``."""
     parser = argparse.ArgumentParser(prog="uvbraid", description=__doc__)
     commands = parser.add_subparsers(dest="command")
     modes: dict[str, list[str]] = {}
     leaves: dict[tuple[str, str | None], argparse.ArgumentParser] = {}
-    sub_commands = {}
     for command, mode, help_text, arguments, handler in _TABLE:
         if mode is None:
             p = commands.add_parser(command, help=help_text)
             modes[command] = []
-            if handler is None:
-                sub_commands[command] = p.add_subparsers(dest="mode")
         else:
-            p = sub_commands[command].add_parser(mode, help=help_text)
+            p = argparse.ArgumentParser(prog=f"uvbraid {command} {mode}")
             modes[command].append(mode)
         for name, spec in arguments:
             p.add_argument(name, **spec)
-            if name == "mode":
-                modes[command] = spec["choices"]
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, mode=mode)
         if handler is not None:
             leaves[command, mode] = p
     return parser, modes, leaves
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one ``uvbraid`` invocation and return its exit code.
+
+    After the command, the first argument that names one of its modes is
+    the mode, wherever it stands, even when it was meant as an option's
+    value: ``hom --word check phi ...`` is read as ``hom check``.  The mode
+    is taken out and the rest goes to that row's own parser.
+    """
     if argv is None:
         argv = sys.argv[1:]
     parser, modes, leaves = _parser()
     if not argv or argv[0] in ("-h", "--help"):
         parser.print_help()
         return 0 if argv else 64
-    command = argv[0]
+    command, rest = argv[0], argv[1:]
     if command not in modes:
         sys.stderr.write(f"unknown command: {command}\n")
         return 64
-    if modes[command] and not any(tok in modes[command] for tok in argv[1:]):
+    mode = next((tok for tok in rest if tok in modes[command]), None)
+    if modes[command] and mode is None:
         sys.stderr.write(
             f"unknown mode for {command}: expected one of {', '.join(modes[command])}\n"
         )
         return 64
-    # Walking the tree costs more than the leaf parse it ends in, so a
-    # handler row's own parser gets the argv the tree would hand it, and
-    # the top parser reports leftover tokens as the tree does.  Options
-    # before a sub-command's mode go through the tree, so that their
-    # error reads the same.
-    leaf, rest = leaves.get((command, None)), argv[1:]
-    if leaf is None:
-        leaf, rest = leaves.get((command, argv[1])), argv[2:]
+    if mode is not None:
+        rest.remove(mode)
     try:
-        if leaf is None:
-            args = parser.parse_args(argv)
-        else:
-            args, extra = leaf.parse_known_args(rest)
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args, extra = leaves[command, mode].parse_known_args(rest)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

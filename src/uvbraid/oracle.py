@@ -50,6 +50,9 @@ from .words import (
 
 PROVEN_EQUAL = "proven_equal"
 UNKNOWN = "unknown"
+# ``bfs_equal``'s default budget: proof length and frontier size.
+MAX_DEPTH = 8
+MAX_FRONTIER = 200_000
 
 Rule = tuple[tuple[Letter, ...], tuple[Letter, ...]]
 Step = tuple[str, int]
@@ -206,7 +209,7 @@ def _successors(node: Node, coding: _Coding) -> Iterator[tuple[str, int, Node]]:
 
 
 def bfs_equal(
-    u: Word, v: Word, *, max_depth: int = 8, max_frontier: int = 200_000
+    u: Word, v: Word, *, max_depth: int = MAX_DEPTH, max_frontier: int = MAX_FRONTIER
 ) -> ProofResult:
     """Three-valued equality: PROVEN_EQUAL with a replayable path, or UNKNOWN."""
     if u.params != v.params:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uvbraid
-from uvbraid.cli import _json, run
+from uvbraid.cli import _TABLE, _json, run
 from uvbraid.verify import build_graph
 
 from test_raag import vertices_commute
@@ -34,7 +34,38 @@ def test_unknown_command_exits_64(capsys):
 def test_unknown_mode_exits_64(capsys):
     assert run(["quot", "sideways"]) == 64
     assert run(["hom"]) == 64
+    assert run(["hom", "--n", "3"]) == 64
     capsys.readouterr()
+
+
+# A valid call per mode row, without its command and mode.
+MODE_CALLS = {
+    ("hom", "check"): ["--n", "3", "--file", "-"],
+    ("hom", "phi"): ["--n", "3", "--eps", "1,1", "--word", "s1.1 r2"],
+    ("hom", "enumerate"): ["--n", "3", "--m", "2"],
+    ("quot", "eval"): ["--n", "3", "--c", "2", "--d", "2", "--word", "s1.2 r1"],
+    ("quot", "order"): ["--n", "4", "--c", "2", "--d", "2"],
+    ("oracle", "eq"): ["--n", "3", "--depth", "3", "r1 s2.1 r1", "r2 s1.1 r2"],
+    ("graph", "dot"): ["--n", "4", "--c", "2"],
+    ("graph", "stats"): ["--n", "4", "--c", "2"],
+}
+
+
+@pytest.mark.parametrize("row", [row[:2] for row in _TABLE if row[1]], ids=" ".join)
+def test_mode_may_follow_its_options(capsys, monkeypatch, row):
+    command, mode = row
+    assert run(["hom", "phi", "--n", "3", "--eps", "1,1"]) == 0
+    hom = json.dumps(json.loads(capsys.readouterr().out)["hom"])
+    outputs = []
+    for argv in (
+        [command, mode, *MODE_CALLS[command, mode]],
+        [command, *MODE_CALLS[command, mode], mode],
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(hom))
+        code = run(argv)
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0][0] == 0, outputs[0]
+    assert outputs[1] == outputs[0]
 
 
 def test_no_arguments_prints_help(capsys):

@@ -308,7 +308,7 @@ GOLDEN = {
     "perm": "ad04523f295fea157fee5a3a8c39f8a909a594ef50c6b5ea3d00ecdd13f24d5b",
     "ab": "888eb9a2d8393be8db64e735db551781d7a1389cb6637155ddaa6139e5558507",
     "chi": "64bd265db635fb4159ed18f76f802acc49f8c408e98c96614e82e3769c496e3c",
-    "cli errors": "be76e88f0c3ee18a0e3eea2f633ba3e4d9a86cb41bd1d3fafaf5b6647e70114f",
+    "cli errors": "db41abfe03abb1e2b0b2fad88bfbff8e6b342b25f56e143ae3e87ea5d488b442",
     "eq": "d639ae48b060ef6dcaf15a0731d94ffa3d63146d607c01110eeec492745aadac",
     "nf random": "d3e50247d8176479f9b11d62c6a12acbf97b24c95bd7f12845b8b550f598f47a",
     "eq random": "4f48663184e36a23afe94d521bd16658df4154e699e7e9a00d0ea768307b60aa",

@@ -55,8 +55,6 @@ def values(name, spec):
         return st.integers(*INT_RANGES[name]).map(str)
     if spec.get("type") is float:
         return st.floats(0, 0.5).map(str)
-    if "choices" in spec:
-        return st.sampled_from(spec["choices"])
     if name == "--eps":
         return st.lists(st.sampled_from("01"), min_size=1, max_size=4).map(",".join)
     if name == "--file":
@@ -67,13 +65,15 @@ def values(name, spec):
 @st.composite
 def argvs(draw, row):
     command, mode, _, arguments, _ = row
-    argv = [command] + ([mode] if mode else [])
+    argv = [command]
     for name, spec in arguments:
         odd = draw(st.integers(0, 9))
         if odd == 0:  # left out, even when required
             continue
         value = draw(st.sampled_from(MALFORMED) if odd == 1 else values(name, spec))
         argv += [name, value] if name.startswith("--") else [value]
+    if mode:  # anywhere after the command, even between an option and its value
+        argv.insert(draw(st.integers(1, len(argv))), mode)
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(GARBAGE)))
     return argv
@@ -97,7 +97,8 @@ def test_cli_exit_codes_and_output(row, data):
         assert err.getvalue(), argv
     if code == 0 and "-h" not in argv:  # -h prints the help text instead
         text = out.getvalue()
-        if argv[0] == "graph" and "dot" in argv:
+        # the first mode name after the command is the mode
+        if argv[0] == "graph" and next(t for t in argv if t in ("dot", "stats")) == "dot":
             assert text.startswith("graph commutation {"), argv
         else:
             assert list(json.loads(text))[0] == "schema", argv
