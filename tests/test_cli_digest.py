@@ -35,6 +35,12 @@ GRAPH_COMMANDS = (
     ("lerf-witness",),
     ("center-witness",),
 )
+# Shapes past ``graph``'s size limit: ``stats`` prints closed forms, and
+# ``dot`` is refused at each of these shapes, so no huge output is hashed.
+GRAPH_LIMIT_SHAPES = {
+    "stats": ((101, 1), (3, 1667), (300, 3), (1000, 7)),
+    "dot": ((101, 1), (300, 3), (3, 200_000)),
+}
 QUOT_WORDS = ("", "s1.1 r1 S1.1", "r1 s1.2 s1.2 s1.2", "s2.1 r3 s4.1 S2.1 r1")
 WORDS = ("", "r1 s2.1", "r1 s2.1 r1 S3.2 r2 s1.1", "r3 s1.2 S1.2 r3 s2.1 r1 r2", "r4")
 PAIRS = (("r1 s2.1 r1", "r2 s1.1 r2"), ("r1 s1.1", "s1.1 r1"), ("s1.1 S1.1", ""))
@@ -207,6 +213,9 @@ def grid():
         " ".join(cmd): [[*cmd, *_nc(n, c)] for n in range(1, 9) for c in range(1, 4)]
         for cmd in GRAPH_COMMANDS
     }
+    cases["graph limit"] = [
+        ["graph", mode, *_nc(n, c)] for mode, shapes in GRAPH_LIMIT_SHAPES.items() for n, c in shapes
+    ]
     cases["quot order"] = [
         ["quot", "order", *_nc(n, c), "--d", str(d)]
         for n in range(1, 6) for c in (1, 2) for d in (2, 3)
@@ -291,6 +300,7 @@ def digest(entries):
 GOLDEN = {
     "graph stats": "adf38efc19ed9fdb5f90eb083436f70c97ba05cc861c73d1fa8b667a261d47eb",
     "graph dot": "11b72e4f008592108e5fe40ccb1605614735249231054e788af4dc15ea701d39",
+    "graph limit": "323c9f49a6faf6e0463803ff84410d7f2f4119de088e7dc2bb4ce998611ccc1c",
     "vcd": "11008a8c0d57d5fe3d63ad57cec2f754874e2c049a7ad94148e6b0fcf0da2924",
     "howson": "961fd8425e994b5673caa086a760d0c3068812f5796ca45fa7deb70dd34f8576",
     "lerf-witness": "58d65f0f47c88fbcd762d68351d3d0e8670bb9031d3fd22f6a3a765084ce31b9",
