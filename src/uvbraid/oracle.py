@@ -256,7 +256,8 @@ def replay(u: Word, v: Word, path: tuple[Step, ...]) -> Word:
     """Apply a proof path to free_reduce(u * v^-1), free-reducing after
     each step; a valid equality proof ends at the empty word."""
     rules = rewrite_rules(u.params)
-    letters = free_reduce_letters(u.letters + v.inverse().letters)
+    letters = free_reduce_letters((u * v.inverse()).letters)
     for label, pos in path:
         letters = free_reduce_letters(apply_rule(letters, rules[label], pos))
-    return Word(u.params, letters)
+    # u, v and every rule hold letters valid for u.params.
+    return Word._checked(u.params, letters)

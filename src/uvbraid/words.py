@@ -20,11 +20,15 @@ Virtual letters are involutions so they carry no sign; ``R<i>`` is
 accepted on input and normalised to ``r<i>``.  UV(1, c) is trivial by
 convention, the only valid word there is the empty one.
 
-``Letter`` and ``Word`` are the boundary objects: every word is checked
-against its ``Params`` when built.  ``parse_word`` takes each canonical
-token from a per-Params table of letters already checked, and the word
-problem (``semidirect``) reads their fields straight into plain integer
-tuples.
+``Letter`` and ``Word`` are the boundary objects.  The trust boundary is
+the public constructor: ``Word(params, letters)`` (and ``raag.KWord``)
+checks every letter against ``params``.  Inside the package, a sequence
+whose letters were all checked against the same ``Params`` already (a
+parse through the per-Params table, a product or inverse of checked
+words, a free reduction) is built by ``LetterSequence._checked``, which
+skips that check.  ``parse_word`` takes each canonical token from a
+per-Params table of letters already checked, and the word problem
+(``semidirect``) reads their fields straight into plain integer tuples.
 """
 
 from __future__ import annotations
@@ -119,10 +123,24 @@ S = TypeVar("S", bound="LetterSequence")
 class LetterSequence:
     """Letters tied to fixed parameters: the sequence methods that
     ``Word`` and ``raag.KWord`` share.  Each letter has ``inverse`` and
-    ``token``; products and inverses keep the operands' type."""
+    ``token``; products and inverses keep the operands' type.
+
+    Subclasses check their letters against ``params`` when built through
+    the constructor.  ``_checked`` skips that check, so it takes only
+    letters already checked against the same ``params``: products and
+    inverses of checked sequences use it, as the inverse of a letter
+    keeps its indices and colour."""
 
     params: Params
     letters: tuple = ()
+
+    @classmethod
+    def _checked(cls: type[S], params: Params, letters: tuple) -> S:
+        """A sequence of ``letters``, each already checked against ``params``."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "params", params)
+        object.__setattr__(seq, "letters", letters)
+        return seq
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -139,10 +157,10 @@ class LetterSequence:
             raise ValueError(
                 f"cannot concatenate words with parameters {self.params} and {other.params}"
             )
-        return type(self)(self.params, self.letters + other.letters)
+        return self._checked(self.params, self.letters + other.letters)
 
     def inverse(self: S) -> S:
-        return type(self)(self.params, tuple([l.inverse() for l in reversed(self.letters)]))
+        return self._checked(self.params, tuple([l.inverse() for l in reversed(self.letters)]))
 
     def __str__(self) -> str:
         return " ".join(l.token() for l in self.letters)
@@ -150,7 +168,12 @@ class LetterSequence:
 
 @dataclass(frozen=True)
 class Word(LetterSequence):
-    """An immutable word in the generators, tied to fixed parameters."""
+    """An immutable word in the generators, tied to fixed parameters.
+
+    ``Word(params, letters)`` raises ValueError unless every letter is
+    valid for UV(n, c); ``parse_word``, products, inverses and
+    ``free_reduce`` build words of letters already checked, through
+    ``LetterSequence._checked``."""
 
     def __post_init__(self) -> None:
         n, c = self.params.n, self.params.c
@@ -212,7 +235,9 @@ def parse_word(text: str, params: Params) -> Word:
     A token spelt as its letter's ``token()`` is looked up in a per-Params
     table of letters already parsed and checked; any other token (``R2``,
     ``s01.1``, a malformed one) is parsed afresh, so errors and their
-    positions do not depend on what was parsed before.
+    positions do not depend on what was parsed before.  When the table
+    holds every token, the word is built from it in one pass, with no
+    letter checked again.
 
     >>> str(parse_word("r1 s2.1 S1.1", Params(3, 1)))
     'r1 s2.1 S1.1'
@@ -220,15 +245,22 @@ def parse_word(text: str, params: Params) -> Word:
     'r2'
     """
     table = _letter_table(params)
-    letters: list[Letter] = []
-    for pos, tok in enumerate(text.split(), start=1):
-        letter = table.get(tok)
-        if letter is None:
-            letter = _parse_token(tok, pos, params)
-            if letter.token() == tok:
-                table[tok] = letter
-        letters.append(letter)
-    return Word(params, tuple(letters))
+    tokens = text.split()
+    try:
+        # tuple() of a list allocates the tuple once; tuple(map(...)) grows
+        # it by resizing, which raised peak memory over many short words.
+        letters = tuple([table[tok] for tok in tokens])
+    except KeyError:
+        parsed: list[Letter] = []
+        for pos, tok in enumerate(tokens, start=1):
+            letter = table.get(tok)
+            if letter is None:
+                letter = _parse_token(tok, pos, params)
+                if letter.token() == tok:
+                    table[tok] = letter
+            parsed.append(letter)
+        letters = tuple(parsed)
+    return Word._checked(params, letters)
 
 
 def _cancels(a: Letter, b: Letter) -> bool:
@@ -255,7 +287,7 @@ def free_reduce(w: Word) -> Word:
     >>> str(free_reduce(parse_word("r1 r1 s1.1 S1.1", Params(2, 1))))
     ''
     """
-    return Word(w.params, free_reduce_letters(w.letters))
+    return Word._checked(w.params, free_reduce_letters(w.letters))
 
 
 Codes = tuple[int, ...]
