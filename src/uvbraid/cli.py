@@ -20,8 +20,8 @@ from . import homs, oracle, quotients, raag, semidirect, verify
 from .perms import strand_permutation, virtual_permutation
 from .words import Params, parse_word
 
-# ``graph`` refuses more vertices than this; ``dot`` prints V·deg/2 edge lines.
-GRAPH_LIMIT = 10_000
+# ``graph dot`` refuses to print more vertex and edge lines than this.
+DOT_LINE_LIMIT = 1_000_000
 
 
 def _json(value, pad: str = "") -> str:
@@ -114,16 +114,18 @@ def _cmd_perm(args: argparse.Namespace, params: Params) -> int:
 def _cmd_graph(args: argparse.Namespace, params: Params) -> int:
     n, c = params.n, params.c
     verts = n * (n - 1) * c
-    if verts > GRAPH_LIMIT:
-        raise ValueError(f"graph needs n(n-1)c <= {GRAPH_LIMIT} vertices, got n={n}, c={c}")
-    if args.mode == "dot":
-        sys.stdout.writelines(raag.to_dot(params))
-        return 0
     # Each (i, j, t) commutes with the letters on the other n - 2 strands.
     degree = (n - 2) * (n - 3) * c if verts else 0
-    return _emit(
-        vertices=verts, edges=verts * degree // 2, min_degree=degree, max_degree=degree
-    )
+    edges = verts * degree // 2
+    if args.mode == "stats":
+        return _emit(vertices=verts, edges=edges, min_degree=degree, max_degree=degree)
+    if verts + edges > DOT_LINE_LIMIT:
+        raise ValueError(
+            f"graph dot prints at most {DOT_LINE_LIMIT} vertex and edge lines,"
+            f" got {verts + edges} for n={n}, c={c}"
+        )
+    sys.stdout.writelines(raag.to_dot(params))
+    return 0
 
 
 def _cmd_vcd(args: argparse.Namespace, params: Params) -> int:

@@ -88,21 +88,35 @@ def test_bad_params_exit_2(capsys):
     capsys.readouterr()
 
 
-# n(n-1)c just over the limit (10,100 and 10,002 vertices), then well over it.
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["graph", mode, "--n", n, "--c", c]
-        for n, c in [("101", "1"), ("3", "1667"), ("300", "3")]
-        for mode in ("stats", "dot")
-    ],
-)
-def test_graph_commands_refuse_large_inputs(capsys, argv):
-    n, c = argv[3], argv[5]
-    assert run(argv) == 2
+# (n, c, vertex + edge lines of ``graph dot``): just over the line limit
+# at c = 1, at c = 2 and with no edges at all, then well over it.
+DOT_OVER = [(40, 1, 1098240), (29, 2, 1141672), (3, 166667, 1000002), (300, 3, 35725716000)]
+# Just under the limit, in the same order.
+DOT_UNDER = [(39, 1, 988494), (28, 2, 984312), (3, 166666, 999996)]
+
+
+@pytest.mark.parametrize("n, c, lines", DOT_OVER)
+def test_graph_dot_refuses_more_lines_than_the_limit(capsys, n, c, lines):
+    assert run(["graph", "dot", "--n", str(n), "--c", str(c)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: graph needs n(n-1)c <= 10000 vertices, got n={n}, c={c}\n"
+    assert captured.err == (
+        "error: graph dot prints at most 1000000 vertex and edge lines,"
+        f" got {lines} for n={n}, c={c}\n"
+    )
+
+
+@pytest.mark.parametrize("n, c, lines", DOT_OVER + DOT_UNDER)
+def test_graph_stats_take_any_size(capsys, n, c, lines):
+    payload = run_json(capsys, ["graph", "stats", "--n", str(n), "--c", str(c)])
+    assert payload["vertices"] + payload["edges"] == lines
+
+
+@pytest.mark.parametrize("n, c, lines", DOT_UNDER)
+def test_graph_dot_prints_up_to_the_limit(capsys, monkeypatch, n, c, lines):
+    monkeypatch.setattr(uvbraid.raag, "to_dot", lambda params: ["printed\n"])
+    assert run(["graph", "dot", "--n", str(n), "--c", str(c)]) == 0
+    assert capsys.readouterr().out == "printed\n"
 
 
 @pytest.mark.parametrize("n", range(1, 9))
