@@ -88,32 +88,41 @@ def test_bad_params_exit_2(capsys):
     capsys.readouterr()
 
 
-# (n, c, vertex + edge lines of ``graph dot``): just over the line limit
-# at c = 1, at c = 2 and with no edges at all, then well over it.
-DOT_OVER = [(40, 1, 1098240), (29, 2, 1141672), (3, 166667, 1000002), (300, 3, 35725716000)]
+# (n, c) -> vertex + edge lines of ``graph dot``: just over the line limit
+# at c = 1, at c = 2 and with no edges at all, then n = 100 (47 million
+# edge lines, under the old vertex limit) and well over it.
+DOT_OVER = {
+    (40, 1): 1098240, (29, 2): 1141672, (3, 166667): 1000002,
+    (100, 1): 47064600, (101, 1): 49005200, (300, 3): 35725716000,
+}
 # Just under the limit, in the same order.
-DOT_UNDER = [(39, 1, 988494), (28, 2, 984312), (3, 166666, 999996)]
+DOT_UNDER = {(39, 1): 988494, (28, 2): 984312, (3, 166666): 999996}
 
 
-@pytest.mark.parametrize("n, c, lines", DOT_OVER)
-def test_graph_dot_refuses_more_lines_than_the_limit(capsys, n, c, lines):
-    assert run(["graph", "dot", "--n", str(n), "--c", str(c)]) == 2
+@pytest.mark.parametrize(
+    "argv", [["graph", "dot", "--n", str(n), "--c", str(c)] for n, c in DOT_OVER]
+)
+def test_graph_commands_refuse_large_inputs(capsys, argv):
+    n, c = argv[3], argv[5]
+    assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "error: graph dot prints at most 1000000 vertex and edge lines,"
-        f" got {lines} for n={n}, c={c}\n"
+        f" got {DOT_OVER[int(n), int(c)]} for n={n}, c={c}\n"
     )
 
 
-@pytest.mark.parametrize("n, c, lines", DOT_OVER + DOT_UNDER)
+@pytest.mark.parametrize(
+    "n, c, lines", [(n, c, lines) for (n, c), lines in {**DOT_OVER, **DOT_UNDER}.items()]
+)
 def test_graph_stats_take_any_size(capsys, n, c, lines):
     payload = run_json(capsys, ["graph", "stats", "--n", str(n), "--c", str(c)])
     assert payload["vertices"] + payload["edges"] == lines
 
 
-@pytest.mark.parametrize("n, c, lines", DOT_UNDER)
-def test_graph_dot_prints_up_to_the_limit(capsys, monkeypatch, n, c, lines):
+@pytest.mark.parametrize("n, c", DOT_UNDER)
+def test_graph_dot_prints_up_to_the_limit(capsys, monkeypatch, n, c):
     monkeypatch.setattr(uvbraid.raag, "to_dot", lambda params: ["printed\n"])
     assert run(["graph", "dot", "--n", str(n), "--c", str(c)]) == 0
     assert capsys.readouterr().out == "printed\n"

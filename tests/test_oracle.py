@@ -166,6 +166,14 @@ def test_replay_rejects_invalid_path():
         replay(u, v, (("braid(r1):fwd", 0),))
 
 
+def test_replay_refuses_words_of_other_params():
+    # r1 is valid in both, so only the Params check can refuse the pair.
+    u = parse_word("r1", Params(3, 1))
+    v = parse_word("r1", Params(4, 1))
+    with pytest.raises(ValueError, match="parameters"):
+        replay(u, v, ())
+
+
 def test_never_disagrees_with_the_engine():
     p = Params(4, 2)
     rng = random.Random(29)

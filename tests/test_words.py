@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from uvbraid import words
@@ -18,8 +20,10 @@ from uvbraid import (
     sigma,
     word,
 )
+from uvbraid.oracle import replay
 from uvbraid.words import relation_codes
 
+import parse_reference
 from relations_reference import reference_codes, reference_relations
 
 
@@ -107,6 +111,19 @@ def test_parse_rejects_non_ascii_digits_with_position(text):
 def test_word_checks_letters_against_params(letter, message):
     with pytest.raises(ValueError, match=message):
         Word(Params(3, 1), (rho(1), letter))
+
+
+@pytest.mark.parametrize(
+    "letter, message",
+    [
+        (KLetter(1, 4, 1), r"strand pair \(1,4\) out of range 1..3"),
+        (KLetter(4, 2, 1, -1), r"strand pair \(4,2\) out of range 1..3"),
+        (KLetter(1, 2, 2), "colour 2 out of range 1..1"),
+    ],
+)
+def test_kword_checks_letters_against_params(letter, message):
+    with pytest.raises(ValueError, match=message):
+        KWord(Params(3, 1), (KLetter(1, 2, 1), letter))
 
 
 def test_word_multiplication_checks_params():
@@ -214,8 +231,6 @@ def test_alphabet_size():
 
 
 def test_random_word_respects_length_and_params():
-    import random
-
     p = Params(4, 2)
     rng = random.Random(7)
     for _ in range(50):
@@ -286,3 +301,100 @@ def test_parse_table_holds_only_canonical_tokens():
     assert sorted(table) == sorted(letter.token() for letter in alphabet(p))
     assert all(letter.token() == tok for tok, letter in table.items())
     assert len(table) == (p.n - 1) * (2 * p.c + 1)
+
+
+def _respell(letter, rng):
+    """Another spelling of a valid letter: an upper-case virtual letter or
+    a leading zero in an index or a colour."""
+    if letter.is_rho:
+        return rng.choice((f"R{letter.i}", f"r0{letter.i}"))
+    head = letter.token()[0]
+    return rng.choice((f"{head}0{letter.i}.{letter.t}", f"{head}{letter.i}.0{letter.t}"))
+
+
+def _mixed_texts(p, rng, count):
+    """Texts of canonical tokens with other spellings of valid letters and
+    ODD_TOKENS at random positions, canonical tokens before and after."""
+    pool = alphabet(p)
+    texts = []
+    for _ in range(count):
+        toks = []
+        for _ in range(rng.randint(0, 12)):
+            roll = rng.random()
+            if pool and roll < 0.8:
+                toks.append(rng.choice(pool).token())
+            elif pool and roll < 0.95:
+                toks.append(_respell(rng.choice(pool), rng))
+            else:
+                toks.append(rng.choice(ODD_TOKENS))
+        texts.append(" ".join(toks))
+    return texts
+
+
+def _outcome(parse, text, p):
+    """The letters of a parse, its word checked equal and hash-equal to
+    the validated Word of those letters, or the error and its position."""
+    try:
+        w = parse(text, p)
+    except ParseError as err:
+        return (str(err), err.position)
+    built = Word(p, w.letters)
+    assert type(w) is Word and w == built and hash(w) == hash(built)
+    return w.letters
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("c", (1, 2, 3))
+def test_parse_matches_the_per_token_reference(n, c):
+    p = Params(n, c)
+    for text in _mixed_texts(p, random.Random(1000 * n + c), 60):
+        words._letter_table.cache_clear()
+        parse_reference._letter_table.cache_clear()
+        expected = _outcome(parse_reference.parse_word, text, p)
+        assert _outcome(parse_word, text, p) == expected
+        _warm(p)
+        assert _outcome(parse_word, text, p) == expected
+        assert _outcome(parse_reference.parse_word, text, p) == expected
+
+
+def _kword(p, rng, length):
+    pairs = [(i, j) for i in range(1, p.n + 1) for j in range(1, p.n + 1) if i != j]
+    return KWord(p, tuple([
+        KLetter(*rng.choice(pairs), rng.randint(1, p.c), rng.choice((1, -1)))
+        for _ in range(length)
+    ]))
+
+
+@pytest.mark.parametrize("n, c", [(1, 1), (2, 3), (3, 2), (6, 3)])
+def test_products_inverses_and_reductions_equal_constructed_sequences(n, c):
+    p = Params(n, c)
+    rng = random.Random(n + 10 * c)
+    for _ in range(30):
+        u, v = random_word(p, rng, 12), random_word(p, rng, 12)
+        sequences = [u * v, u.inverse(), free_reduce(u * v), replay(u, v, ())]
+        if n > 1:
+            a, b = _kword(p, rng, 6), _kword(p, rng, 6)
+            sequences += [a * b, a.inverse()]
+        for w in sequences:
+            built = type(w)(p, w.letters)
+            assert w == built and hash(w) == hash(built) and str(w) == str(built)
+
+
+def test_warm_parse_products_and_reductions_check_no_letter(monkeypatch):
+    p = Params(5, 2)
+    text = " ".join(letter.token() for letter in alphabet(p))
+    text += " " + str(random_word(p, random.Random(5), 40))
+    expected = parse_reference.parse_word(text, p).letters
+    _warm(p)
+
+    def refuse(*args):
+        raise AssertionError("a letter was checked again")
+
+    monkeypatch.setattr(words, "_parse_token", refuse)
+    monkeypatch.setattr(words, "check_letter", refuse)
+    monkeypatch.setattr(Word, "__post_init__", refuse)
+    w = parse_word(text, p)
+    assert w.letters == expected
+    assert (w * w).letters == expected * 2
+    assert w.inverse().inverse().letters == expected
+    assert free_reduce(w * w.inverse()).letters == ()
