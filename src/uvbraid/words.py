@@ -24,11 +24,11 @@ convention, the only valid word there is the empty one.
 the public constructor: ``Word(params, letters)`` (and ``raag.KWord``)
 checks every letter against ``params``.  Inside the package, a sequence
 whose letters were all checked against the same ``Params`` already (a
-parse through the per-Params table, a product or inverse of checked
-words, a free reduction) is built by ``LetterSequence._checked``, which
-skips that check.  ``parse_word`` takes each canonical token from a
-per-Params table of letters already checked, and the word problem
-(``semidirect``) reads their fields straight into plain integer tuples.
+parse, a product or inverse of checked words, a free reduction) is built
+by ``LetterSequence._checked``, which skips that check.  ``parse_word``
+takes each canonical token from a per-Params table of letters already
+checked, and the word problem (``semidirect``) reads their fields
+straight into plain integer tuples.
 """
 
 from __future__ import annotations
