@@ -107,7 +107,13 @@ def _perms_from_json(items: object) -> tuple[Perm, ...]:
     return tuple(Perm(tuple(imgs)) for imgs in items)
 
 
+def _check_degree(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"target degree must be >= 1, got m={m}")
+
+
 def _check_shape(h: HomSpec, params: Params) -> None:
+    _check_degree(h.m)
     if len(h.image_rho) != params.n - 1:
         raise ValueError(f"expected {params.n - 1} virtual images, got {len(h.image_rho)}")
     if len(h.image_sigma) != params.n - 1 or any(len(col) != params.c for col in h.image_sigma):
@@ -283,8 +289,7 @@ def enumerate_homs(
     out, so it is refused; ``inf`` means no time limit, and a negative
     one is a clock already spent.
     """
-    if m < 1:
-        raise ValueError(f"target degree must be >= 1, got m={m}")
+    _check_degree(m)
     if budget is None:
         budget = SearchBudget()
     if budget.max_nodes < 0:

@@ -14,10 +14,11 @@ returns Unknown.
 
 The search runs on strings of codes: each letter is its index x in
 ``words.alphabet``, a node holds it as the character ``chr(x)``, and the
-rules of ``rewrite_rules`` are compiled into such strings once per
-``Params``, with a table of inverse codes.  Strings keep slicing,
-concatenation, hashing and the pattern scan (``str.find``) in C, where
-tuples of integers would hash element by element.  Every stored word is
+rules of ``rewrite_rules`` are compiled into such strings, with a table
+of inverse codes; both are tables of the ``words`` registry, kept and
+dropped with the other tables of their ``Params``.  Strings keep
+slicing, concatenation, hashing and the pattern scan (``str.find``) in
+C, where tuples of integers would hash element by element.  Every stored word is
 free-reduced, so a rewrite only needs reducing at its two seams, and an
 insertion whose seams cannot cancel is a plain concatenation.  Words are
 encoded on the way in, after the free reduction of u * v^-1 is found
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from .words import (
@@ -43,6 +43,7 @@ from .words import (
     Word,
     alphabet,
     free_reduce_letters,
+    per_params,
     relator_words,
     rho,
     sigma,
@@ -70,7 +71,7 @@ class ProofResult:
         return self.verdict == PROVEN_EQUAL
 
 
-@lru_cache(maxsize=None)
+@per_params
 def rewrite_rules(params: Params) -> dict[str, Rule]:
     """All directed rewrites for UV(n, c), keyed by a stable label."""
     n, c = params.n, params.c
@@ -148,7 +149,7 @@ class _Coding:
         return "".join([self.code[letter] for letter in letters])
 
 
-@lru_cache(maxsize=None)
+@per_params
 def _coding(params: Params) -> _Coding:
     size = (params.n - 1) * (2 * params.c + 1)  # len(alphabet(params)), before building it
     if size > sys.maxunicode + 1:

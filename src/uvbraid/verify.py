@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from random import Random
 from typing import Callable
 
@@ -27,7 +26,7 @@ from .semidirect import (
     permute_kletter,
     to_normal_form,
 )
-from .words import Params, Word, random_word, relator_words, rho, sigma, word
+from .words import Params, Word, per_params, random_word, relator_words, rho, sigma, word
 
 DEFAULT_SEED = 271828
 
@@ -102,8 +101,9 @@ class _CommGraph:
         return sum(m.bit_count() for m in self.adj) // 2
 
 
-@lru_cache(maxsize=None)
+@per_params
 def build_graph(params: Params) -> _CommGraph:
+    """The commutation graph of UV(n, c), a table of the ``words`` registry."""
     return _CommGraph(params)
 
 

@@ -29,14 +29,21 @@ by ``LetterSequence._checked``, which skips that check.  ``parse_word``
 takes each canonical token from a per-Params table of letters already
 checked, and the word problem (``semidirect``) reads their fields
 straight into plain integer tuples.
+
+Every table derived from (n, c) -- the parse table, relations and
+alphabet here, the oracle's rules and codes, ``verify``'s graph -- is
+built on first use by a ``per_params`` function and kept in one registry,
+keyed by Params and then by build function.  It keeps the tables of the
+last ``TABLES_KEPT`` Params used; an older Params' tables are dropped
+together, and built again if it comes back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from random import Random
-from typing import Iterator, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
 
 RHO = "r"
 SIGMA = "s"
@@ -54,6 +61,33 @@ class Params:
             raise ValueError(f"strand count must be >= 1, got n={self.n}")
         if self.c < 1:
             raise ValueError(f"colour count must be >= 1, got c={self.c}")
+
+
+# How many Params keep their tables.  One workload touches at most about
+# 25 (``verify-paper``), so none is built twice within it.
+TABLES_KEPT = 64
+
+T = TypeVar("T")
+
+
+@lru_cache(maxsize=TABLES_KEPT)
+def _tables(params: Params) -> dict[Callable, Any]:
+    """The tables built so far for ``params``, keyed by build function."""
+    return {}
+
+
+def per_params(build: Callable[[Params], T]) -> Callable[[Params], T]:
+    """Keep ``build(params)`` in the registry: built on first use, dropped
+    with the rest of that Params' tables."""
+
+    @wraps(build)
+    def table(params: Params) -> T:
+        tables = _tables(params)
+        if build not in tables:
+            tables[build] = build(params)
+        return tables[build]
+
+    return table
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,7 +236,10 @@ def _parse_token(tok: str, position: int, params: Params) -> Letter:
         body = tok[1:]
         if not (body.isascii() and body.isdigit()):
             raise ParseError(f"expected r<i> but got {tok!r}", position)
-        letter = rho(int(body))
+        try:
+            letter = rho(int(body))
+        except ValueError as exc:  # beyond int()'s digit limit
+            raise ParseError(str(exc), position) from None
     elif tok[0] in ("s", "S"):
         body = tok[1:]
         parts = body.split(".")
@@ -222,7 +259,7 @@ def _parse_token(tok: str, position: int, params: Params) -> Letter:
     return letter
 
 
-@lru_cache(maxsize=64)
+@per_params
 def _letter_table(params: Params) -> dict[str, Letter]:
     """Canonical token -> its checked Letter for UV(n, c), filled by
     ``parse_word`` as tokens are met: at most (n-1)(2c+1) entries."""
@@ -294,7 +331,7 @@ Codes = tuple[int, ...]
 Relation = tuple[str, Word, Word]
 
 
-@lru_cache(maxsize=64)
+@per_params
 def relation_codes(params: Params) -> tuple[tuple[str, Codes, Codes], ...]:
     """All defining relation instances of UV(n, c) as (label, lhs, rhs)
     in generator codes: r<i> is i-1 and s<i>.<t> is (n-1)t + i-1, so the
@@ -304,7 +341,7 @@ def relation_codes(params: Params) -> tuple[tuple[str, Codes, Codes], ...]:
     The order is fixed: virtual braid relations, far virtual
     commutations, involutions, far crossing commutations, far
     crossing/virtual commutations, then the slide relations.  The result
-    is cached per ``Params``, and is a tuple so that no caller can change it.
+    is a registry table, and a tuple so that no caller can change it.
 
     >>> for relation in relation_codes(Params(3, 1)):
     ...     print(relation)
@@ -338,10 +375,10 @@ def relation_codes(params: Params) -> tuple[tuple[str, Codes, Codes], ...]:
     return tuple(rels)
 
 
-@lru_cache(maxsize=64)
+@per_params
 def defining_relations(params: Params) -> tuple[Relation, ...]:
     """``relation_codes`` decoded into words: (label, lhs, rhs), same
-    order, cached per ``Params`` like the codes."""
+    order, a registry table like the codes."""
     letters = [rho(i) for i in range(1, params.n)]
     letters += [sigma(i, t) for t in range(1, params.c + 1) for i in range(1, params.n)]
 
@@ -356,10 +393,10 @@ def relator_words(params: Params) -> list[tuple[str, Word]]:
     return [(label, lhs * rhs.inverse()) for label, lhs, rhs in defining_relations(params)]
 
 
-@lru_cache(maxsize=64)
+@per_params
 def alphabet(params: Params) -> tuple[Letter, ...]:
     """Every letter of UV(n, c) including crossing inverses, in a fixed
-    order, built and checked once per ``Params``."""
+    order, built and checked once while its ``Params`` is kept."""
     letters: list[Letter] = [rho(i) for i in range(1, params.n)]
     for i in range(1, params.n):
         for t in range(1, params.c + 1):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import uvbraid
 from uvbraid.cli import _TABLE, _json, run
 from uvbraid.verify import build_graph
+from uvbraid.words import _tables
 
 from test_raag import vertices_commute
 
@@ -146,9 +147,8 @@ def test_graph_stats_match_mask_graph(capsys, n, c):
 @pytest.mark.parametrize("command", ["vcd", "howson", "lerf-witness", "center-witness"])
 @pytest.mark.parametrize("n", [300, 100_000])
 def test_certificate_commands_run_beyond_graph_limit(capsys, command, n):
-    builds = build_graph.cache_info()
     payload = run_json(capsys, [command, "--n", str(n), "--c", "3"])
-    assert build_graph.cache_info() == builds
+    assert build_graph.__wrapped__ not in _tables(uvbraid.Params(n, 3))
     if command == "vcd":
         assert payload["clique_number"] == payload["vcd"] == n // 2
     elif command == "howson":
@@ -165,6 +165,13 @@ def test_certificate_commands_run_beyond_graph_limit(capsys, command, n):
 
 def test_non_ascii_digit_exits_2_with_token_position(capsys):
     assert run(["nf", "--n", "3", "--c", "1", "--word", "r1 r\u00b2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: token 2:")
+
+
+def test_oversized_virtual_index_exits_2_with_token_position(capsys):
+    assert run(["nf", "--n", "3", "--c", "1", "--word", "r1 r" + "9" * 5000]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: token 2:")
@@ -317,6 +324,16 @@ def test_hom_check_malformed_spec_exits_2(spec, message):
     assert proc.stdout == ""
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_hom_check_refuses_a_target_degree_below_1(capsys, monkeypatch, m):
+    # at n = 1 there are no images, so only the degree check can refuse
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"m": m, "rho": [], "sigma": []})))
+    assert run(["hom", "check", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: target degree must be >= 1, got m={m}\n"
 
 
 def test_hom_enumerate(capsys):

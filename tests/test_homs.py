@@ -330,8 +330,8 @@ def test_homs_never_build_the_word_relations(monkeypatch):
     # homs reads the code table only, and holds no name of the Word builder
     assert not hasattr(uvbraid.homs, "defining_relations")
     monkeypatch.setattr(uvbraid.words, "defining_relations", refuse)
-    uvbraid.words.relation_codes.cache_clear()
     p = Params(5, 1)
+    uvbraid.words._tables(p).clear()
     found = enumerate_homs(p, 3)
     assert len(found) == 12
     assert all(verify_homspec(h, p) == (True, None) for h in found)

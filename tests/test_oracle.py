@@ -15,7 +15,7 @@ from uvbraid import (
     rewrite_rules,
 )
 from uvbraid.oracle import PROVEN_EQUAL, UNKNOWN, _coding, _splice, apply_rule
-from uvbraid.words import alphabet, free_reduce_letters
+from uvbraid.words import _tables, alphabet, free_reduce_letters
 
 
 def test_reflexive_at_depth_zero():
@@ -57,19 +57,19 @@ def test_free_reduced_pair_is_proven_before_any_table_is_built():
     # tens of thousands of rules that an equal-by-free-reduction pair
     # must not pay for
     p = Params(23, 5)
-    before = rewrite_rules.cache_info(), _coding.cache_info()
     res = bfs_equal(parse_word("r1 s2.5", p), parse_word("r1 S1.1 s1.1 s2.5", p))
     assert res == ProofResult(PROVEN_EQUAL, (), 1)
-    assert (rewrite_rules.cache_info(), _coding.cache_info()) == before
+    assert rewrite_rules.__wrapped__ not in _tables(p)
+    assert _coding.__wrapped__ not in _tables(p)
 
 
 def test_refuses_an_alphabet_beyond_one_character_per_code():
     # (n-1)(2c+1) = 1,114,113 letters, one more than there are characters
     p = Params(2, 557056)
-    before = alphabet.cache_info()
     with pytest.raises(ValueError, match="at most 1114112 letters, got 1114113"):
         bfs_equal(parse_word("r1", p), parse_word("s1.1", p))
-    assert alphabet.cache_info() == before
+    assert alphabet.__wrapped__ not in _tables(p)
+    assert _coding.__wrapped__ not in _tables(p)
 
 
 def test_rule_table_labels():

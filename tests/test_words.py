@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,7 +22,8 @@ from uvbraid import (
     sigma,
     word,
 )
-from uvbraid.oracle import replay
+from uvbraid.oracle import _coding, replay, rewrite_rules
+from uvbraid.verify import build_graph
 from uvbraid.words import relation_codes
 
 import parse_reference
@@ -97,6 +100,16 @@ def test_parse_rejects_non_ascii_digits_with_position(text):
         parse_word("r1 " + text, Params(3, 1))
     assert err.value.position == 2
     assert str(err.value).startswith("token 2: expected")
+
+
+# int() refuses more than 4,300 digits; the s<i>.<t> forms were already safe
+@pytest.mark.parametrize(
+    "text", ["r" + "9" * 5000, "R" + "9" * 5000, "s1." + "9" * 5000], ids=["r", "R", "s"]
+)
+def test_parse_refuses_an_oversized_index_with_position(text):
+    with pytest.raises(ParseError) as err:
+        parse_word("r1 " + text, Params(3, 1))
+    assert err.value.position == 2
 
 
 @pytest.mark.parametrize(
@@ -262,6 +275,10 @@ ODD_TOKENS = (
 )
 
 
+def _forget_letter_table(p):
+    words._tables(p).pop(words._letter_table.__wrapped__, None)
+
+
 def _warm(p):
     parse_word(" ".join(letter.token() for letter in alphabet(p)), p)
 
@@ -272,7 +289,7 @@ def test_parse_table_cold_and_warm_agree():
     texts += [" ".join(letter.token() for letter in alphabet(p)), "R2 r2 S1.1 s1.1"]
     cold = []
     for text in texts:
-        words._letter_table.cache_clear()
+        _forget_letter_table(p)
         cold.append(_parse_outcome(text, p))
     _warm(p)
     assert [_parse_outcome(text, p) for text in texts] == cold
@@ -292,7 +309,7 @@ def test_parse_table_is_per_params():
 
 def test_parse_table_holds_only_canonical_tokens():
     p = Params(4, 2)
-    words._letter_table.cache_clear()
+    _forget_letter_table(p)
     parse_word("R1 r01 s01.1 S1.02 r1 s3.2 S3.2", p)
     for tok in ODD_TOKENS:
         _parse_outcome(tok, p)
@@ -348,7 +365,7 @@ def _outcome(parse, text, p):
 def test_parse_matches_the_per_token_reference(n, c):
     p = Params(n, c)
     for text in _mixed_texts(p, random.Random(1000 * n + c), 60):
-        words._letter_table.cache_clear()
+        _forget_letter_table(p)
         parse_reference._letter_table.cache_clear()
         expected = _outcome(parse_reference.parse_word, text, p)
         assert _outcome(parse_word, text, p) == expected
@@ -398,3 +415,36 @@ def test_warm_parse_products_and_reductions_check_no_letter(monkeypatch):
     assert (w * w).letters == expected * 2
     assert w.inverse().inverse().letters == expected
     assert free_reduce(w * w.inverse()).letters == ()
+
+
+def test_registry_keeps_a_params_tables_until_they_go_together():
+    words._tables.cache_clear()
+    p = Params(5, 2)
+    builds = (alphabet, relation_codes, defining_relations, rewrite_rules, build_graph)
+    held = {build: build(p) for build in builds}
+    for c in range(1, words.TABLES_KEPT):
+        alphabet(Params(2, c))
+    assert all(build(p) is table for build, table in held.items())
+    # p is now the most recently used; TABLES_KEPT other Params evict it
+    for c in range(1, words.TABLES_KEPT + 1):
+        alphabet(Params(2, c))
+    assert words._tables(p) == {}
+    assert alphabet(p) == held[alphabet] and alphabet(p) is not held[alphabet]
+
+
+def test_evicted_oracle_tables_return_their_memory():
+    words._tables.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _coding(Params(20, 3))
+        built = tracemalloc.get_traced_memory()[0] - base
+        for c in range(1, words.TABLES_KEPT + 1):
+            alphabet(Params(3, c))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert built > 10_000_000  # the rules and their codes: about 14 MB
+    assert kept < built / 10
