@@ -170,13 +170,6 @@ def test_non_ascii_digit_exits_2_with_token_position(capsys):
     assert captured.err.startswith("error: token 2:")
 
 
-def test_oversized_virtual_index_exits_2_with_token_position(capsys):
-    assert run(["nf", "--n", "3", "--c", "1", "--word", "r1 r" + "9" * 5000]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: token 2:")
-
-
 def test_missing_flag_exits_2(capsys):
     assert run(["nf", "--n", "3"]) == 2
     capsys.readouterr()

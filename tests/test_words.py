@@ -103,9 +103,7 @@ def test_parse_rejects_non_ascii_digits_with_position(text):
 
 
 # int() refuses more than 4,300 digits; the s<i>.<t> forms were already safe
-@pytest.mark.parametrize(
-    "text", ["r" + "9" * 5000, "R" + "9" * 5000, "s1." + "9" * 5000], ids=["r", "R", "s"]
-)
+@pytest.mark.parametrize("text", ["r" + "9" * 5000, "s1." + "9" * 5000], ids=["r", "s"])
 def test_parse_refuses_an_oversized_index_with_position(text):
     with pytest.raises(ParseError) as err:
         parse_word("r1 " + text, Params(3, 1))
