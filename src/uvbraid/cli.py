@@ -33,13 +33,21 @@ def _json(value, pad: str = "") -> str:
     ``bool`` and ``None`` itself, and hands anything else (floats, int
     subclasses, other keys) to ``json.dumps``, re-indented to ``pad``:
     json escapes newlines inside strings, so each newline there starts a
-    line.
+    line.  An ``int`` with more digits than the interpreter converts to
+    ``str`` (4,300 by default), where ``json.dumps`` raises, is written
+    in full through ``decimal``, which has no such limit; the limit
+    itself is left alone for the rest of the process.
     """
     kind = type(value)
     if kind is str:
         return json.dumps(value)
     if kind is int:
-        return repr(value)
+        try:
+            return repr(value)
+        except ValueError:  # past the digit limit
+            import decimal  # here, so that no other output pays for its import
+
+            return str(decimal.Decimal(value))
     if value is None:
         return "null"
     if value is True:
@@ -50,9 +58,11 @@ def _json(value, pad: str = "") -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        body = (",\n" + inner).join(
-            [repr(item) if type(item) is int else _json(item, inner) for item in value]
-        )
+        try:
+            items = [repr(item) if type(item) is int else _json(item, inner) for item in value]
+        except ValueError:  # an int past the digit limit: write each item as above
+            items = [_json(item, inner) for item in value]
+        body = (",\n" + inner).join(items)
         return "[\n" + inner + body + "\n" + pad + "]"
     if kind is dict and all(type(key) is str for key in value):
         if not value:

@@ -9,14 +9,15 @@ where the strand stacks of ``raag.stack_pieces`` decide triviality; the
 virtual part is just a permutation.  Two words are equal iff both
 components agree, which makes the word problem exact and fast.
 
-Inside, the scan emits kernel letters as plain (i, j, t, sign) tuples
-and keeps p as an image list.  ``are_equal`` compares the two image
-lists and, if they agree, stacks u's pieces followed by v's, inverted
-and in reverse order: u = v iff every strand stack ends empty.
-``is_trivial`` does the same for one word.  Neither runs the canonical
-read-out or builds an object; only ``to_normal_form`` reads the piling
-out (``raag.read_out``) and wraps the result in ``KLetter``, ``KWord``
-and ``Perm``.
+Inside, the scan appends kernel letters as plain (i, j, t, sign) tuples
+to one piece list and keeps p as an image list.  ``is_trivial`` scans
+its word once: it is trivial iff p ends as the identity and every
+strand stack of the pieces ends empty.  ``are_equal`` asks the same of
+u v^-1, scanning u and then v's letters backwards with every crossing
+sign flipped (the letters of v^-1, as r<i>^-1 = r<i>) into the same
+two lists.  Neither runs the canonical read-out or builds an object;
+only ``to_normal_form`` reads the piling out (``raag.read_out``) and
+wraps the result in ``KLetter``, ``KWord`` and ``Perm``.
 
 ``kletter_to_word`` expands a kernel letter back into generators:
 d<i>.<i+1>.<t> is s<i>.<t> itself, and more distant pairs conjugate by
@@ -29,6 +30,7 @@ rho_word(p) relabels both strands through p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .perms import Perm, strand_permutation
 from .raag import KLetter, KWord, Piece, check_kletter, read_out, stack_pieces
@@ -69,30 +71,23 @@ def permute_kletter(p: Perm, d: KLetter) -> KLetter:
     return KLetter(p(d.i), p(d.j), d.t, d.sign)
 
 
-def _scan(w: Word) -> tuple[list[Piece], list[int]]:
-    """The kernel letters of w as pieces, in order, and its virtual
-    permutation p as the image list [0, p(1), .., p(n)]."""
+def _scan(letters: Iterable[Letter], sign: int, images: list[int], pieces: list[Piece]) -> None:
+    """Append the kernel letters of these letters to pieces, each crossing's
+    sign times sign, and move the image list [0, p(1), .., p(n)] of the
+    virtual prefix p by the virtual letters."""
     # r<i> swaps images[i], images[i+1]; s<i>.<t> emits the piece on them.
-    images = list(range(w.params.n + 1))
-    emitted: list[Piece] = []
-    for letter in w.letters:
+    for letter in letters:
         i = letter.i
         if letter.kind == SIGMA:
-            emitted.append((images[i], images[i + 1], letter.t, letter.sign))
+            pieces.append((images[i], images[i + 1], letter.t, sign * letter.sign))
         else:
             images[i], images[i + 1] = images[i + 1], images[i]
-    return emitted, images
-
-
-def _cancels(pieces: list[Piece]) -> bool:
-    """Whether these pieces make a trivial kernel word: every strand stack
-    of their reduced piling ends empty."""
-    return not any(stack_pieces(pieces).values())
 
 
 def to_normal_form(w: Word) -> NormalForm:
     """Factor w as (kernel normal form) * rho_word(virtual permutation)."""
-    pieces, images = _scan(w)
+    images, pieces = list(range(w.params.n + 1)), []
+    _scan(w.letters, 1, images, pieces)
     out = read_out(stack_pieces(pieces))
     kword = KWord(w.params, tuple([KLetter(*piece) for piece in out]))
     return NormalForm(kword, Perm(tuple(images[1:])))
@@ -111,16 +106,18 @@ def is_trivial(w: Word) -> bool:
     >>> is_trivial(parse_word("r1 r2 r1 r2 r1 r2", p))
     True
     """
-    pieces, images = _scan(w)
-    return images == list(range(w.params.n + 1)) and _cancels(pieces)
+    images, pieces = list(range(w.params.n + 1)), []
+    _scan(w.letters, 1, images, pieces)
+    return images == list(range(w.params.n + 1)) and not any(stack_pieces(pieces).values())
 
 
 def are_equal(u: Word, v: Word) -> bool:
     """Whether u and v are the same element of UV(n, c).
 
-    With u = K_u rho_word(p) and v = K_v rho_word(q), u = v iff p = q and
-    K_u K_v^-1 is trivial: v's pieces follow u's, inverted and in
-    reverse order, through one stacking pass with no read-out.
+    u = v iff u v^-1 is trivial: one scan of u, then of v's letters in
+    reverse with crossing signs flipped, fills one image list and one
+    piece list.  The virtual permutation of u v^-1 must be the identity,
+    and only then are the pieces stacked, in one pass with no read-out.
 
     >>> from uvbraid import Params, parse_word
     >>> p = Params(3, 1)
@@ -131,11 +128,10 @@ def are_equal(u: Word, v: Word) -> bool:
     """
     if u.params != v.params:
         raise ValueError(f"cannot compare words with parameters {u.params} and {v.params}")
-    u_pieces, u_images = _scan(u)
-    v_pieces, v_images = _scan(v)
-    if u_images != v_images:
-        return False
-    return _cancels(u_pieces + [(i, j, t, -sign) for i, j, t, sign in reversed(v_pieces)])
+    images, pieces = list(range(u.params.n + 1)), []
+    _scan(u.letters, 1, images, pieces)
+    _scan(reversed(v.letters), -1, images, pieces)  # v^-1, as r<i>^-1 = r<i>
+    return images == list(range(u.params.n + 1)) and not any(stack_pieces(pieces).values())
 
 
 def is_pure(w: Word) -> bool:

@@ -1,8 +1,11 @@
 import io
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -234,6 +237,23 @@ def test_vcd_example(capsys):
     assert payload["vcd"] == 3
 
 
+def test_vcd_takes_any_n():
+    # in a child capped at 1 GB of address space, so that memory linear in n
+    # fails at once instead of filling the host
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = Path(uvbraid.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "uvbraid", "vcd", "--n", str(10**20), "--c", "1"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["clique_number"] == payload["vcd"] == 10**20 // 2
+
+
 def test_howson_example(capsys):
     payload = run_json(capsys, ["howson", "--n", "4", "--c", "1"])
     assert payload["howson"] is False
@@ -359,6 +379,18 @@ def test_quot_eval_and_order(capsys):
     assert payload["order"] == 480
     assert payload["n_factorial"] == 120
     assert payload["method"] == "closure"
+
+
+def test_quot_order_prints_orders_past_the_int_digit_limit(capsys):
+    # 2 * 1700! has 4,756 digits, past the default int -> str limit of 4,300
+    assert run(["quot", "order", "--n", "1700", "--c", "1", "--d", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_int=Decimal)
+    assert payload["order"] == 2 * math.factorial(1700)
+    assert payload["n_factorial"] == math.factorial(1700)
+    assert payload["method"] == "units"
+    # the same digits in a list, as an item or nested
+    big = math.factorial(1700)
+    assert json.loads(_json([big, 1, [big]]), parse_int=Decimal) == [big, 1, [big]]
 
 
 def test_oracle_eq(capsys):

@@ -199,6 +199,18 @@ def test_clique_number_beyond_search_reach():
     assert clique_number(Params(40, 2)) == 20
 
 
+def test_clique_number_memory_does_not_follow_n():
+    # floor(n/2) is read off the pigeonhole bound, not off a built matching
+    tracemalloc.start()
+    try:
+        k = clique_number(Params(10**6, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k == 500_000
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 @pytest.mark.parametrize("c", (1, 2, 3))
 def test_p3_witness_is_the_first_in_vertex_order(n, c):

@@ -28,6 +28,8 @@ from uvbraid import (
 from uvbraid.semidirect import permute_kletter
 from uvbraid.words import SIGMA, alphabet, rho, sigma
 
+import word_problem_reference
+
 
 def test_delta_expansion_small():
     p = Params(3, 1)
@@ -179,10 +181,39 @@ def test_are_equal_matches_normal_forms_at_benchmark_scale():
     for u, v, equal in benchmark_scale_pairs(p, 600, 36, seed=601):
         nu, nv = to_normal_form(u), to_normal_form(v)
         assert are_equal(u, v) is (nu == nv) is equal
-        assert is_trivial(u * v.inverse()) is equal
+        assert word_problem_reference.are_equal(u, v) is equal
+        w = u * v.inverse()
+        assert is_trivial(w) is word_problem_reference.is_trivial(w) is equal
         if not equal:
             # flipped pairs share the permutation, appended ones the kernel part
             assert (nu.perm == nv.perm) is not (nu.kword == nv.kword)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_word_problem_matches_the_two_scan_reference(data):
+    # v is u with a relator inserted, a crossing flipped or a virtual
+    # letter appended (another permutation), or a fresh word
+    p = Params(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)))
+    letters = st.lists(st.sampled_from(alphabet(p)), max_size=16) if p.n > 1 else st.just([])
+    u = Word(p, tuple(data.draw(letters)))
+    v = list(u.letters)
+    change = data.draw(st.sampled_from(["relator", "flip", "append", "fresh"]))
+    if change == "relator" and p.n > 1:
+        pos = data.draw(st.integers(0, len(v)))
+        v[pos:pos] = data.draw(st.sampled_from(relator_words(p)))[1].letters
+    elif change == "flip" and any(letter.kind == SIGMA for letter in v):
+        pos = data.draw(st.sampled_from([k for k, x in enumerate(v) if x.kind == SIGMA]))
+        v[pos] = v[pos].inverse()
+    elif change == "append" and p.n > 1:
+        v.append(rho(data.draw(st.integers(1, p.n - 1))))
+    elif change == "fresh":
+        v = data.draw(letters)
+    v = Word(p, tuple(v))
+    assert are_equal(u, v) is word_problem_reference.are_equal(u, v)
+    assert are_equal(v, u) is word_problem_reference.are_equal(v, u)
+    for w in (u, v, u * v.inverse()):
+        assert is_trivial(w) is word_problem_reference.is_trivial(w)
 
 
 def test_word_problem_never_reads_out(monkeypatch):
