@@ -14,15 +14,16 @@ returns Unknown.
 
 The search runs on strings of codes: each letter is its index x in
 ``words.alphabet``, a node holds it as the character ``chr(x)``, and the
-rules of ``rewrite_rules`` are compiled into such strings, with a table
-of inverse codes; both are tables of the ``words`` registry, kept and
-dropped with the other tables of their ``Params``.  Strings keep
+rewrites are encoded into such strings as ``_rules`` yields them.  The
+codes, with a table of inverse codes, are a ``words`` registry table,
+kept and dropped with their ``Params``; only ``replay`` builds
+``rewrite_rules``, the same rewrites as ``Letter`` tuples.  Strings keep
 slicing, concatenation, hashing and the pattern scan (``str.find``) in
-C, where tuples of integers would hash element by element.  Every stored word is
-free-reduced, so a rewrite only needs reducing at its two seams, and an
-insertion whose seams cannot cancel is a plain concatenation.  Words are
-encoded on the way in, after the free reduction of u * v^-1 is found
-non-empty; the result holds only rule labels and positions.
+C, where tuples of integers would hash element by element.  Every stored
+word is free-reduced, so a rewrite only needs reducing at its two seams,
+and an insertion whose seams cannot cancel is a plain concatenation.
+Words are encoded on the way in, after the free reduction of u * v^-1 is
+found non-empty; the result holds only rule labels and positions.
 
 Proof paths are replayable: ``replay`` applies the recorded
 (rule, position) steps to u * v^-1 on ``Letter``s, independently of the
@@ -71,44 +72,42 @@ class ProofResult:
         return self.verdict == PROVEN_EQUAL
 
 
-@per_params
-def rewrite_rules(params: Params) -> dict[str, Rule]:
-    """All directed rewrites for UV(n, c), keyed by a stable label."""
+def _rules(params: Params) -> Iterator[tuple[str, Rule]]:
+    """Every directed rewrite of UV(n, c) with its stable label, in a fixed order."""
     n, c = params.n, params.c
-    rules: dict[str, Rule] = {}
 
-    def both_ways(label: str, lhs: tuple[Letter, ...], rhs: tuple[Letter, ...]) -> None:
-        rules[f"{label}:fwd"] = (lhs, rhs)
-        rules[f"{label}:rev"] = (rhs, lhs)
+    def both_ways(label: str, lhs: tuple[Letter, ...], rhs: tuple[Letter, ...]) -> Iterator:
+        yield f"{label}:fwd", (lhs, rhs)
+        yield f"{label}:rev", (rhs, lhs)
+
+    def commute(x: Letter, y: Letter) -> Iterator:
+        yield f"comm({x.token()},{y.token()})", ((x, y), (y, x))
+        yield f"comm({y.token()},{x.token()})", ((y, x), (x, y))
 
     for i in range(1, n - 1):
-        both_ways(
+        yield from both_ways(
             f"braid(r{i})",
             (rho(i), rho(i + 1), rho(i)),
             (rho(i + 1), rho(i), rho(i + 1)),
         )
-    commuting: list[tuple[Letter, Letter]] = []
     for i in range(1, n):
         for j in range(i + 2, n):
-            commuting.append((rho(i), rho(j)))
+            yield from commute(rho(i), rho(j))
             for t in range(1, c + 1):
                 for s_i in (1, -1):
-                    commuting.append((sigma(i, t, s_i), rho(j)))
-                    commuting.append((sigma(j, t, s_i), rho(i)))
+                    yield from commute(sigma(i, t, s_i), rho(j))
+                    yield from commute(sigma(j, t, s_i), rho(i))
                     for l in range(1, c + 1):
                         for s_j in (1, -1):
-                            commuting.append((sigma(i, t, s_i), sigma(j, l, s_j)))
-    for x, y in commuting:
-        rules[f"comm({x.token()},{y.token()})"] = ((x, y), (y, x))
-        rules[f"comm({y.token()},{x.token()})"] = ((y, x), (x, y))
+                            yield from commute(sigma(i, t, s_i), sigma(j, l, s_j))
     for i in range(1, n - 1):
         for t in range(1, c + 1):
-            both_ways(
+            yield from both_ways(
                 f"slide(s{i}.{t})",
                 (rho(i), rho(i + 1), sigma(i, t, 1)),
                 (sigma(i + 1, t, 1), rho(i), rho(i + 1)),
             )
-            both_ways(
+            yield from both_ways(
                 f"slide(S{i}.{t})",
                 (sigma(i, t, -1), rho(i + 1), rho(i)),
                 (rho(i + 1), rho(i), sigma(i + 1, t, -1)),
@@ -117,13 +116,18 @@ def rewrite_rules(params: Params) -> dict[str, Rule]:
         letters = free_reduce_letters(relator.letters)
         if not letters:
             continue  # the involutions are already absorbed by free reduction
-        rules[f"rel({label}):ins"] = ((), letters)
-        rules[f"rel({label}):del"] = (letters, ())
+        yield f"rel({label}):ins", ((), letters)
+        yield f"rel({label}):del", (letters, ())
         reversed_letters = free_reduce_letters(relator.inverse().letters)
         if reversed_letters != letters:
-            rules[f"rel({label}):rins"] = ((), reversed_letters)
-            rules[f"rel({label}):rdel"] = (reversed_letters, ())
-    return rules
+            yield f"rel({label}):rins", ((), reversed_letters)
+            yield f"rel({label}):rdel", (reversed_letters, ())
+
+
+@per_params
+def rewrite_rules(params: Params) -> dict[str, Rule]:
+    """All directed rewrites for UV(n, c), keyed by a stable label."""
+    return dict(_rules(params))
 
 
 def apply_rule(letters: tuple[Letter, ...], rule: Rule, pos: int) -> tuple[Letter, ...]:
@@ -142,7 +146,7 @@ class _Coding:
 
     code: dict[Letter, str]
     inverse: dict[str, str]  # inverse[x] is the code of the inverse of letter x
-    # (label, pattern, free-reduced replacement), in ``rewrite_rules`` order
+    # (label, pattern, free-reduced replacement), in ``_rules`` order
     rules: tuple[tuple[str, Node, Node], ...]
 
     def encode(self, letters: tuple[Letter, ...]) -> Node:
@@ -162,7 +166,7 @@ def _coding(params: Params) -> _Coding:
     coding = _Coding(code, {code[letter]: code[letter.inverse()] for letter in letters}, ())
     rules = tuple(
         (label, coding.encode(pattern), coding.encode(free_reduce_letters(rep)))
-        for label, (pattern, rep) in rewrite_rules(params).items()
+        for label, (pattern, rep) in _rules(params)
     )
     return replace(coding, rules=rules)
 

@@ -147,4 +147,4 @@ def rho_word(p: Perm, params: Params) -> Word:
                 imgs[x - 1], imgs[x] = imgs[x], imgs[x - 1]
                 swaps.append(x)
                 changed = True
-    return Word(params, tuple([rho(x) for x in reversed(swaps)]))
+    return Word._checked(params, tuple([rho(x) for x in reversed(swaps)]))

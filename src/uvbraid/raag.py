@@ -80,20 +80,17 @@ class KLetter:
         return f"{head}{self.i}.{self.j}.{self.t}"
 
 
-def check_kletter(letter: KLetter, params: Params) -> None:
-    if not (1 <= letter.i <= params.n and 1 <= letter.j <= params.n):
-        raise ValueError(f"strand pair ({letter.i},{letter.j}) out of range 1..{params.n}")
-    if not 1 <= letter.t <= params.c:
-        raise ValueError(f"colour {letter.t} out of range 1..{params.c}")
-
-
 @dataclass(frozen=True)
 class KWord(LetterSequence):
     """A word in the kernel generators, tied to fixed parameters."""
 
     def __post_init__(self) -> None:
+        n, c = self.params.n, self.params.c
         for letter in self.letters:
-            check_kletter(letter, self.params)
+            if not (1 <= letter.i <= n and 1 <= letter.j <= n):
+                raise ValueError(f"strand pair ({letter.i},{letter.j}) out of range 1..{n}")
+            if not 1 <= letter.t <= c:
+                raise ValueError(f"colour {letter.t} out of range 1..{c}")
 
 
 def vertices(params: Params) -> Iterator[Vertex]:
@@ -182,7 +179,7 @@ def normal_form(w: KWord) -> KWord:
     """Canonical representative of w in the right-angled Artin kernel
     (see ``stack_pieces`` and ``read_out``)."""
     out = read_out(stack_pieces([(d.i, d.j, d.t, d.sign) for d in w.letters]))
-    return KWord(w.params, tuple([KLetter(*piece) for piece in out]))
+    return KWord._checked(w.params, tuple([KLetter(*piece) for piece in out]))
 
 
 def commute(u: Vertex, v: Vertex) -> bool:

@@ -10,14 +10,14 @@ virtual part is just a permutation.  Two words are equal iff both
 components agree, which makes the word problem exact and fast.
 
 Inside, the scan appends kernel letters as plain (i, j, t, sign) tuples
-to one piece list and keeps p as an image list.  ``is_trivial`` scans
-its word once: it is trivial iff p ends as the identity and every
-strand stack of the pieces ends empty.  ``are_equal`` asks the same of
-u v^-1, scanning u and then v's letters backwards with every crossing
-sign flipped (the letters of v^-1, as r<i>^-1 = r<i>) into the same
-two lists.  Neither runs the canonical read-out or builds an object;
-only ``to_normal_form`` reads the piling out (``raag.read_out``) and
-wraps the result in ``KLetter``, ``KWord`` and ``Perm``.
+to one piece list and keeps p as an image list.  ``are_equal`` scans u
+and then v's letters backwards with every crossing sign flipped (the
+letters of v^-1, as r<i>^-1 = r<i>) into the same two lists: u = v iff
+p ends as the identity and every strand stack of the pieces ends empty.
+``is_trivial(w)`` asks whether w equals the empty word.  Neither runs
+the canonical read-out or builds an object; only ``to_normal_form``
+reads the piling out (``raag.read_out``) and wraps the result in
+``KLetter``, ``KWord`` and ``Perm``.
 
 ``kletter_to_word`` expands a kernel letter back into generators:
 d<i>.<i+1>.<t> is s<i>.<t> itself, and more distant pairs conjugate by
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .perms import Perm, strand_permutation
-from .raag import KLetter, KWord, Piece, check_kletter, read_out, stack_pieces
+from .raag import KLetter, KWord, Piece, read_out, stack_pieces
 from .words import SIGMA, Letter, Params, Word, rho, sigma
 
 
@@ -55,15 +55,14 @@ def _expansion(d: KLetter) -> list[Letter]:
 
 def kletter_to_word(d: KLetter, params: Params) -> Word:
     """Expand a kernel letter into a word over the group generators."""
-    check_kletter(d, params)
-    return Word(params, tuple(_expansion(d)))
+    return expand_kword(KWord(params, (d,)))
 
 
 def expand_kword(kw: KWord) -> Word:
     letters: list[Letter] = []
-    for d in kw.letters:  # checked against kw.params when kw was built
+    for d in kw.letters:  # checked against kw.params, so its expansion is valid there
         letters += _expansion(d)
-    return Word(kw.params, tuple(letters))
+    return Word._checked(kw.params, tuple(letters))
 
 
 def permute_kletter(p: Perm, d: KLetter) -> KLetter:
@@ -89,7 +88,7 @@ def to_normal_form(w: Word) -> NormalForm:
     images, pieces = list(range(w.params.n + 1)), []
     _scan(w.letters, 1, images, pieces)
     out = read_out(stack_pieces(pieces))
-    kword = KWord(w.params, tuple([KLetter(*piece) for piece in out]))
+    kword = KWord._checked(w.params, tuple([KLetter(*piece) for piece in out]))
     return NormalForm(kword, Perm(tuple(images[1:])))
 
 
@@ -106,9 +105,7 @@ def is_trivial(w: Word) -> bool:
     >>> is_trivial(parse_word("r1 r2 r1 r2 r1 r2", p))
     True
     """
-    images, pieces = list(range(w.params.n + 1)), []
-    _scan(w.letters, 1, images, pieces)
-    return images == list(range(w.params.n + 1)) and not any(stack_pieces(pieces).values())
+    return are_equal(w, Word._checked(w.params, ()))
 
 
 def are_equal(u: Word, v: Word) -> bool:

@@ -23,12 +23,14 @@ convention, the only valid word there is the empty one.
 ``Letter`` and ``Word`` are the boundary objects.  The trust boundary is
 the public constructor: ``Word(params, letters)`` (and ``raag.KWord``)
 checks every letter against ``params``.  Inside the package, a sequence
-whose letters were all checked against the same ``Params`` already (a
-parse, a product or inverse of checked words, a free reduction) is built
-by ``LetterSequence._checked``, which skips that check.  ``parse_word``
-takes each canonical token from a per-Params table of letters already
-checked, and the word problem (``semidirect``) reads their fields
-straight into plain integer tuples.
+whose letters are valid for its ``Params`` already is built by
+``LetterSequence._checked``, which skips that check: a parse, products,
+inverses and free reductions of checked words, ``random_word``, the
+decoded ``defining_relations``, ``perms.rho_word``, the normal forms of
+``semidirect`` and ``raag``, and ``semidirect.expand_kword``.
+``parse_word`` takes each canonical token from a per-Params table of
+letters already checked, and the word problem (``semidirect``) reads
+their fields straight into plain integer tuples.
 
 Every table derived from (n, c) -- the parse table, relations and
 alphabet here, the oracle's rules and codes, ``verify``'s graph -- is
@@ -210,12 +212,8 @@ class Word(LetterSequence):
     ``LetterSequence._checked``."""
 
     def __post_init__(self) -> None:
-        n, c = self.params.n, self.params.c
         for letter in self.letters:
-            # check_letter's test inlined, as every word built pays it;
-            # check_letter raises with the message.
-            if not 0 < letter.i < n or (letter.kind == SIGMA and not 0 < letter.t <= c):
-                check_letter(letter, self.params)
+            check_letter(letter, self.params)
 
 
 def word(params: Params, *letters: Letter) -> Word:
@@ -383,7 +381,7 @@ def defining_relations(params: Params) -> tuple[Relation, ...]:
     letters += [sigma(i, t) for t in range(1, params.c + 1) for i in range(1, params.n)]
 
     def decode(codes: Codes) -> Word:
-        return Word(params, tuple(map(letters.__getitem__, codes)))
+        return Word._checked(params, tuple(map(letters.__getitem__, codes)))
 
     return tuple((label, decode(lhs), decode(rhs)) for label, lhs, rhs in relation_codes(params))
 
@@ -396,7 +394,8 @@ def relator_words(params: Params) -> list[tuple[str, Word]]:
 @per_params
 def alphabet(params: Params) -> tuple[Letter, ...]:
     """Every letter of UV(n, c) including crossing inverses, in a fixed
-    order, built and checked once while its ``Params`` is kept."""
+    order, each valid by construction; built once while its ``Params``
+    is kept."""
     letters: list[Letter] = [rho(i) for i in range(1, params.n)]
     for i in range(1, params.n):
         for t in range(1, params.c + 1):
@@ -408,6 +407,6 @@ def alphabet(params: Params) -> tuple[Letter, ...]:
 def random_word(params: Params, rng: Random, max_len: int) -> Word:
     pool = alphabet(params)
     if not pool:
-        return Word(params)
+        return Word._checked(params, ())
     length = rng.randint(0, max_len)
-    return Word(params, tuple([rng.choice(pool) for _ in range(length)]))
+    return Word._checked(params, tuple([rng.choice(pool) for _ in range(length)]))

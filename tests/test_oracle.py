@@ -63,6 +63,17 @@ def test_free_reduced_pair_is_proven_before_any_table_is_built():
     assert _coding.__wrapped__ not in _tables(p)
 
 
+def test_search_encodes_the_rules_without_the_letter_table():
+    _tables.cache_clear()
+    p = Params(4, 2)
+    u, v = parse_word("r1 s2.1 r1", p), parse_word("r2 s1.1 r2", p)
+    res = bfs_equal(u, v)
+    assert res.proven and _coding.__wrapped__ in _tables(p)
+    assert rewrite_rules.__wrapped__ not in _tables(p)
+    assert replay(u, v, res.path).letters == ()
+    assert rewrite_rules.__wrapped__ in _tables(p)
+
+
 def test_refuses_an_alphabet_beyond_one_character_per_code():
     # (n-1)(2c+1) = 1,114,113 letters, one more than there are characters
     p = Params(2, 557056)

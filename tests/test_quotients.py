@@ -191,6 +191,22 @@ def test_quotient_order_units_certificate():
     assert (cert.order, cert.method, cert.closure_size) == (15_120, "closure", 15_120)
 
 
+@pytest.mark.parametrize("n", [50, 500])
+def test_units_certificate_checks_c_plus_two_images(monkeypatch, n):
+    import uvbraid.quotients
+
+    images = []
+
+    def counted(w, d):
+        images.append(quotient_image(w, d))
+        return images[-1]
+
+    monkeypatch.setattr(uvbraid.quotients, "quotient_image", counted)
+    cert = quotient_order(Params(n, 3), 2)
+    assert (cert.order, cert.method) == (8 * math.factorial(n), "units")
+    assert len(images) == 3 + 2
+
+
 def test_quotient_order_small_cases():
     assert quotient_order(Params(2, 1), 2).order == 4
     assert quotient_order(Params(2, 1), 3).order == 6

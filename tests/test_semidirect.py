@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from uvbraid import (
     KLetter,
+    KWord,
     NormalForm,
     Params,
     Word,
@@ -239,6 +240,53 @@ def test_word_problem_never_reads_out(monkeypatch):
         assert is_trivial(u * v.inverse()) is equal
     with pytest.raises(AssertionError, match="built a normal form"):
         to_normal_form(pairs[0][0])
+
+
+def test_derived_words_check_no_letter(monkeypatch):
+    import uvbraid.raag
+    import uvbraid.words
+
+    p = Params(5, 2)
+    rng = random.Random(29)
+    ws = [parse_word(str(random_word(p, rng, 30)), p) for _ in range(12)]
+    ws += [ws[0] * ws[0].inverse(), parse_word("", p)]
+
+    def derived():
+        nfs = [to_normal_form(w) for w in ws]
+        expanded = [expand_kword(nf.kword) for nf in nfs]
+        sections = [rho_word(nf.perm, p) for nf in nfs]
+        return {
+            "to_normal_form": nfs,
+            "raag.normal_form": [
+                uvbraid.raag.normal_form(a.kword * b.kword.inverse()) for a in nfs for b in nfs[:3]
+            ],
+            "expand_kword": expanded,
+            "rho_word": sections,
+            "random_word": random_word(p, random.Random(7), 40),
+            "is_trivial": [is_trivial(w) for w in ws],
+            "are_equal": [are_equal(w, x * y) for w, x, y in zip(ws, expanded, sections)]
+            + [are_equal(u, v) for u in ws for v in ws[:3]],
+        }
+
+    expected = derived()
+
+    def refuse(*args):
+        raise AssertionError("a letter was checked again")
+
+    monkeypatch.setattr(uvbraid.words, "check_letter", refuse)
+    monkeypatch.setattr(Word, "__post_init__", refuse)
+    monkeypatch.setattr(KWord, "__post_init__", refuse)
+    got = derived()
+    monkeypatch.undo()
+    assert got == expected
+    assert all(got["are_equal"][: len(ws)])
+    # what was built without a check is what the checking constructors accept
+    plain = got["expand_kword"] + got["rho_word"] + [got["random_word"]]
+    assert all(Word(p, w.letters) == w for w in plain)
+    kwords = [nf.kword for nf in got["to_normal_form"]] + got["raag.normal_form"]
+    assert all(KWord(p, kw.letters) == kw for kw in kwords)
+    with pytest.raises(ValueError, match=r"strand pair \(1,6\) out of range 1..5"):
+        kletter_to_word(KLetter(1, 6, 1), p)
 
 
 def test_conjugation_relabels_vertices():

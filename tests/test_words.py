@@ -436,6 +436,7 @@ def test_evicted_oracle_tables_return_their_memory():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
+        rewrite_rules(Params(20, 3))
         _coding(Params(20, 3))
         built = tracemalloc.get_traced_memory()[0] - base
         for c in range(1, words.TABLES_KEPT + 1):
