@@ -161,10 +161,10 @@ def _cmd_lerf_witness(args: argparse.Namespace, params: Params) -> int:
 def _cmd_center_witness(args: argparse.Namespace, params: Params) -> int:
     dom = [list(v) for v in raag.dominating_vertices(params)]
     if params.n >= 2:
-        u = parse_word("r1 s1.1", params)
-        v = parse_word("s1.1 r1", params)
+        # the pair moves only strands 1 and 2, so its scan reads the same at every n
+        p2 = Params(2, params.c)
         pair = ["r1 s1.1", "s1.1 r1"]
-        commute = semidirect.are_equal(u, v)
+        commute = semidirect.are_equal(parse_word(pair[0], p2), parse_word(pair[1], p2))
     else:
         pair = None
         commute = None
@@ -441,7 +441,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         params = Params(args.n, args.c) if "n" in args else None
         return args.handler(args, params)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

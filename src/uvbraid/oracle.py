@@ -228,33 +228,32 @@ def bfs_equal(
         return ProofResult(PROVEN_EQUAL, (), 1)
     coding = _coding(u.params)
     start = coding.encode(letters)
-    seen: set[Node] = {start}
-    parent: dict[Node, tuple[Node, str, int]] = {}
+    # every node reached, with the step that first reached it: the visited set
+    parent: dict[Node, Optional[tuple[Node, str, int]]] = {start: None}
     frontier: list[Node] = [start]
     for _ in range(max_depth):
         nxt: list[Node] = []
         for node in frontier:
             for label, pos, out in _successors(node, coding):
-                if out in seen:
+                if out in parent:
                     continue
-                seen.add(out)
                 parent[out] = (node, label, pos)
                 if not out:
                     path: list[Step] = []
-                    cur: Node = out
-                    while cur != start:
-                        prev, lab, p = parent[cur]
+                    step = parent[out]
+                    while step is not None:
+                        prev, lab, p = step
                         path.append((lab, p))
-                        cur = prev
+                        step = parent[prev]
                     path.reverse()
-                    return ProofResult(PROVEN_EQUAL, tuple(path), len(seen))
+                    return ProofResult(PROVEN_EQUAL, tuple(path), len(parent))
                 nxt.append(out)
                 if len(nxt) > max_frontier:
-                    return ProofResult(UNKNOWN, None, len(seen))
+                    return ProofResult(UNKNOWN, None, len(parent))
         if not nxt:
             break
         frontier = nxt
-    return ProofResult(UNKNOWN, None, len(seen))
+    return ProofResult(UNKNOWN, None, len(parent))
 
 
 def replay(u: Word, v: Word, path: tuple[Step, ...]) -> Word:

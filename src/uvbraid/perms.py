@@ -131,20 +131,19 @@ def virtual_permutation(w: Word) -> Perm:
 def rho_word(p: Perm, params: Params) -> Word:
     """A reduced virtual word whose virtual permutation is p.
 
-    Built by bubble sorting the image tuple, so the word length is the
-    inversion count of p.  This is the canonical section of
-    ``virtual_permutation`` on the subgroup of virtual words.
+    Built by insertion sorting the image tuple, each adjacent swap of an
+    inversion recorded once, so the word length is the inversion count of
+    p.  This is the canonical section of ``virtual_permutation`` on the
+    subgroup of virtual words.
     """
     if p.n != params.n:
         raise ValueError(f"permutation of 1..{p.n} does not match n={params.n}")
     imgs = list(p.images)
     swaps: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for x in range(1, p.n):
-            if imgs[x - 1] > imgs[x]:
-                imgs[x - 1], imgs[x] = imgs[x], imgs[x - 1]
-                swaps.append(x)
-                changed = True
+    for x in range(1, p.n):
+        j = x
+        while j and imgs[j - 1] > imgs[j]:
+            imgs[j - 1], imgs[j] = imgs[j], imgs[j - 1]
+            swaps.append(j)
+            j -= 1
     return Word._checked(params, tuple([rho(x) for x in reversed(swaps)]))

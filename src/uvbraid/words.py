@@ -11,8 +11,8 @@ s<i>.<t>.  The defining relations are
     comm     s<i>.<t> r<j>         =  r<j> s<i>.<t>          |i-j| >= 2
     slide    r<i> r<i+1> s<i>.<t>  =  s<i+1>.<t> r<i> r<i+1>
 
-``relation_codes`` lists each instance once in generator codes, for the
-engines on plain integers; ``defining_relations`` decodes it into words.
+``relation_codes`` lists each instance once in generator codes, the one
+kept form; ``defining_relations`` decodes it into words on each call.
 
 Words are whitespace-separated token strings: ``r<i>`` for a virtual
 letter, ``s<i>.<t>`` for a crossing, ``S<i>.<t>`` for its inverse.
@@ -32,7 +32,7 @@ decoded ``defining_relations``, ``perms.rho_word``, the normal forms of
 letters already checked, and the word problem (``semidirect``) reads
 their fields straight into plain integer tuples.
 
-Every table derived from (n, c) -- the parse table, relations and
+Every table derived from (n, c) -- the parse table, relation codes and
 alphabet here, the oracle's rules and codes, ``verify``'s graph -- is
 built on first use by a ``per_params`` function and kept in one registry,
 keyed by Params and then by build function.  It keeps the tables of the
@@ -373,10 +373,9 @@ def relation_codes(params: Params) -> tuple[tuple[str, Codes, Codes], ...]:
     return tuple(rels)
 
 
-@per_params
 def defining_relations(params: Params) -> tuple[Relation, ...]:
     """``relation_codes`` decoded into words: (label, lhs, rhs), same
-    order, a registry table like the codes."""
+    order, decoded afresh on each call; only the codes are kept."""
     letters = [rho(i) for i in range(1, params.n)]
     letters += [sigma(i, t) for t in range(1, params.c + 1) for i in range(1, params.n)]
 

@@ -277,6 +277,32 @@ def test_center_witness(capsys):
     assert payload["commute"] is False
 
 
+def test_center_witness_reads_the_same_at_any_n(capsys):
+    small = run_json(capsys, ["center-witness", "--n", "4", "--c", "1"])
+    assert run_json(capsys, ["center-witness", "--n", str(10**20), "--c", "1"]) == small
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "--word", "r1"],
+        ["eq", "r1", "r1"],
+        ["trivial", "--word", "r1"],
+        ["pure", "--word", "r1"],
+        ["perm", "--word", "r1"],
+        ["hom", "phi", "--eps", "1,0", "--word", "r1"],
+        ["hom", "enumerate", "--m", "2"],
+        ["quot", "eval", "--d", "2", "--word", "r1"],
+        ["quot", "order", "--d", "2"],
+    ],
+)
+def test_n_beyond_a_machine_int_exits_2(capsys, argv):
+    assert run(argv + ["--n", str(10**20), "--c", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_hom_phi(capsys):
     payload = run_json(
         capsys,

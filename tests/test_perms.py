@@ -9,6 +9,7 @@ from uvbraid import (
     all_perms,
     identity,
     parse_word,
+    rho,
     rho_word,
     strand_permutation,
     virtual_permutation,
@@ -174,3 +175,12 @@ def test_swap_folds_agree_with_compose_fold():
             ),
         )
         assert h.evaluate(w) == compose_evaluate(h, w)
+
+
+def test_rho_word_of_a_long_cycle_is_one_sweep():
+    # the n-cycle (2 3 ... n 1) has n - 1 inversions: swapping each once is
+    # linear here, while repeated passes over the images are quadratic
+    n = 20_000
+    params = Params(n, 1)
+    w = rho_word(Perm(tuple(range(2, n + 1)) + (1,)), params)
+    assert w.letters == tuple(rho(i) for i in range(1, n))

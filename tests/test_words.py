@@ -22,7 +22,7 @@ from uvbraid import (
     sigma,
     word,
 )
-from uvbraid.oracle import _coding, replay, rewrite_rules
+from uvbraid.oracle import _coding, bfs_equal, replay, rewrite_rules
 from uvbraid.verify import build_graph
 from uvbraid.words import relation_codes
 
@@ -212,9 +212,9 @@ def test_relation_inventory_counts():
 
 def test_defining_relations_are_cached_and_immutable():
     p = Params(4, 2)
+    assert relation_codes(p) is relation_codes(p)  # the words are decoded on each call
     for build in (defining_relations, relation_codes):
         rels = build(p)
-        assert rels is build(p)
         assert isinstance(rels, tuple) and all(isinstance(rel, tuple) for rel in rels)
 
 
@@ -418,7 +418,7 @@ def test_warm_parse_products_and_reductions_check_no_letter(monkeypatch):
 def test_registry_keeps_a_params_tables_until_they_go_together():
     words._tables.cache_clear()
     p = Params(5, 2)
-    builds = (alphabet, relation_codes, defining_relations, rewrite_rules, build_graph)
+    builds = (alphabet, relation_codes, rewrite_rules, build_graph)
     held = {build: build(p) for build in builds}
     for c in range(1, words.TABLES_KEPT):
         alphabet(Params(2, c))
@@ -447,3 +447,12 @@ def test_evicted_oracle_tables_return_their_memory():
         tracemalloc.stop()
     assert built > 10_000_000  # the rules and their codes: about 14 MB
     assert kept < built / 10
+
+
+def test_an_oracle_search_keeps_the_codes_and_no_decoded_relations():
+    words._tables.cache_clear()
+    p = Params(6, 2)
+    u, v = parse_word("r1 s2.1 r1", p), parse_word("r2 s1.1 r2", p)
+    assert bfs_equal(u, v).proven
+    kept = {build.__name__ for build in words._tables(p)}
+    assert kept == {"_letter_table", "alphabet", "relation_codes", "_coding"}
