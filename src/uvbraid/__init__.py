@@ -21,7 +21,7 @@ from .homs import (
     is_admissible,
     verify_homspec,
 )
-from .oracle import ProofResult, bfs_equal, replay, rewrite_rules
+from .oracle import ProofResult, bfs_equal, replay
 from .perms import (
     Perm,
     all_perms,
@@ -115,7 +115,6 @@ __all__ = [
     "random_word",
     "relator_words",
     "replay",
-    "rewrite_rules",
     "rho",
     "rho_word",
     "sigma",

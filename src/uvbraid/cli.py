@@ -442,6 +442,9 @@ def run(argv: list[str] | None = None) -> int:
         params = Params(args.n, args.c) if "n" in args else None
         return args.handler(args, params)
     except (ValueError, OverflowError) as exc:
+        big = [f"--{name}" for name in ("n", "c") if getattr(args, name, 0) > sys.maxsize]
+        if big and isinstance(exc, OverflowError):  # CPython's text names no option or limit
+            exc = ValueError(f"{big[0]} must be at most sys.maxsize = {sys.maxsize}")
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

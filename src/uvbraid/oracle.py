@@ -1,54 +1,37 @@
 """Independent equality prover over the raw group presentation.
 
-``bfs_equal`` decides u = v by breadth-first search from the free
-reduction of u * v^-1, seeking the empty word.  Each search step
-applies one directed rewrite at one position and then free-reduces:
-either side of a defining relation replaced by the other (including
-the sign-flipped forms of the slide relation), or insertion or
-deletion of a whole relator.  Free reduction after every step already
-covers cancelling pairs r<i> r<i> and s S / S s, so no rule inserts
-one.  Every rule preserves the group element, so a found path is a
-proof of equality; the result is three-valued and never claims
-inequality.  Exhausting the depth or overflowing the frontier budget
-returns Unknown.
+``bfs_equal`` searches breadth-first from the free reduction of u * v^-1
+for the empty word.  A step applies one directed rewrite at one position
+and free-reduces: either side of a defining relation replaced by the
+other (the slide relation also inverted), or a whole relator inserted or
+deleted.  Every rewrite preserves the group element, so a found path
+proves u = v; the result never claims inequality, and a spent depth or
+frontier budget returns Unknown.
 
-The search runs on strings of codes: each letter is its index x in
-``words.alphabet``, a node holds it as the character ``chr(x)``, and the
-rewrites are encoded into such strings as ``_rules`` yields them.  The
-codes, with a table of inverse codes, are a ``words`` registry table,
-kept and dropped with their ``Params``; only ``replay`` builds
-``rewrite_rules``, the same rewrites as ``Letter`` tuples.  Strings keep
-slicing, concatenation, hashing and the pattern scan (``str.find``) in
-C, where tuples of integers would hash element by element.  Every stored
-word is free-reduced, so a rewrite only needs reducing at its two seams,
-and an insertion whose seams cannot cancel is a plain concatenation.
-Words are encoded on the way in, after the free reduction of u * v^-1 is
-found non-empty; the result holds only rule labels and positions.
-
-Proof paths are replayable: ``replay`` applies the recorded
-(rule, position) steps to u * v^-1 on ``Letter``s, independently of the
-coded search, and must end at the empty word.  This module shares
-nothing with the normal-form engine except the letter type, which is
-what makes it a useful cross-check.
+Nodes are free-reduced strings, letter x of ``words.alphabet`` as
+``chr(x)``, so that slicing, hashing and ``str.find`` run in C, where
+tuples of integers would hash element by element.  No table of rewrites
+is kept: braid, commutation and slide patterns are two or three letters
+long, so one pass over a node's windows finds them, and only the
+relators are encoded, once per ``Params``.  The order of successors
+shows in ``path`` and ``explored``: braids by i; commutations by strand
+pair, then colour and sign; slides by i and colour, ``s`` before ``S``;
+each form before its reverse; then each relator's insertions and
+deletions, then its inverse's, in ``relation_codes`` order; within one
+rewrite, by position.  ``replay`` builds each step's rewrite from
+``words.defining_relations`` by its label and applies it on ``Letter``s,
+independently of the coded search; sharing nothing with the normal-form
+engine but the letter type makes this module a useful cross-check.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .words import (
-    Letter,
-    Params,
-    Word,
-    alphabet,
-    free_reduce_letters,
-    per_params,
-    relator_words,
-    rho,
-    sigma,
-)
+from .words import Letter, Params, Word, alphabet, defining_relations, free_reduce
+from .words import free_reduce_letters, parse_word, per_params, relation_codes, rho, sigma
 
 PROVEN_EQUAL = "proven_equal"
 UNKNOWN = "unknown"
@@ -72,103 +55,42 @@ class ProofResult:
         return self.verdict == PROVEN_EQUAL
 
 
-def _rules(params: Params) -> Iterator[tuple[str, Rule]]:
-    """Every directed rewrite of UV(n, c) with its stable label, in a fixed order."""
-    n, c = params.n, params.c
-
-    def both_ways(label: str, lhs: tuple[Letter, ...], rhs: tuple[Letter, ...]) -> Iterator:
-        yield f"{label}:fwd", (lhs, rhs)
-        yield f"{label}:rev", (rhs, lhs)
-
-    def commute(x: Letter, y: Letter) -> Iterator:
-        yield f"comm({x.token()},{y.token()})", ((x, y), (y, x))
-        yield f"comm({y.token()},{x.token()})", ((y, x), (x, y))
-
-    for i in range(1, n - 1):
-        yield from both_ways(
-            f"braid(r{i})",
-            (rho(i), rho(i + 1), rho(i)),
-            (rho(i + 1), rho(i), rho(i + 1)),
-        )
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            yield from commute(rho(i), rho(j))
-            for t in range(1, c + 1):
-                for s_i in (1, -1):
-                    yield from commute(sigma(i, t, s_i), rho(j))
-                    yield from commute(sigma(j, t, s_i), rho(i))
-                    for l in range(1, c + 1):
-                        for s_j in (1, -1):
-                            yield from commute(sigma(i, t, s_i), sigma(j, l, s_j))
-    for i in range(1, n - 1):
-        for t in range(1, c + 1):
-            yield from both_ways(
-                f"slide(s{i}.{t})",
-                (rho(i), rho(i + 1), sigma(i, t, 1)),
-                (sigma(i + 1, t, 1), rho(i), rho(i + 1)),
-            )
-            yield from both_ways(
-                f"slide(S{i}.{t})",
-                (sigma(i, t, -1), rho(i + 1), rho(i)),
-                (rho(i + 1), rho(i), sigma(i + 1, t, -1)),
-            )
-    for label, relator in relator_words(params):
-        letters = free_reduce_letters(relator.letters)
-        if not letters:
-            continue  # the involutions are already absorbed by free reduction
-        yield f"rel({label}):ins", ((), letters)
-        yield f"rel({label}):del", (letters, ())
-        reversed_letters = free_reduce_letters(relator.inverse().letters)
-        if reversed_letters != letters:
-            yield f"rel({label}):rins", ((), reversed_letters)
-            yield f"rel({label}):rdel", (reversed_letters, ())
-
-
-@per_params
-def rewrite_rules(params: Params) -> dict[str, Rule]:
-    """All directed rewrites for UV(n, c), keyed by a stable label."""
-    return dict(_rules(params))
-
-
-def apply_rule(letters: tuple[Letter, ...], rule: Rule, pos: int) -> tuple[Letter, ...]:
-    pattern, replacement = rule
-    if not 0 <= pos <= len(letters) - len(pattern):
-        raise ValueError(f"position {pos} out of range")
-    if letters[pos : pos + len(pattern)] != pattern:
-        raise ValueError(f"pattern does not match at position {pos}")
-    return letters[:pos] + replacement + letters[pos + len(pattern) :]
-
-
 @dataclass(frozen=True)
 class _Coding:
-    """Letters as one-character codes, ``chr`` of their indices in
-    ``words.alphabet``, and the rules in those codes."""
+    """Letters as the characters of their ``words.alphabet`` indices, and the relators."""
 
+    params: Params
     code: dict[Letter, str]
     inverse: dict[str, str]  # inverse[x] is the code of the inverse of letter x
-    # (label, pattern, free-reduced replacement), in ``_rules`` order
-    rules: tuple[tuple[str, Node, Node], ...]
-
-    def encode(self, letters: tuple[Letter, ...]) -> Node:
-        return "".join([self.code[letter] for letter in letters])
+    strand: dict[str, int]  # i of r<i>, s<i>.<t> and S<i>.<t>
+    kind: dict[str, int]  # 0 for r<i>, 2t - 1 for s<i>.<t>, 2t for S<i>.<t>
+    relators: tuple[tuple[str, Node, Node], ...]  # (label, relator, inverse) per relation
 
 
 @per_params
 def _coding(params: Params) -> _Coding:
-    size = (params.n - 1) * (2 * params.c + 1)  # len(alphabet(params)), before building it
+    n, c = params.n, params.c
+    size = (n - 1) * (2 * c + 1)  # len(alphabet(params)), before building it
     if size > sys.maxunicode + 1:
         raise ValueError(
             f"the oracle codes each letter as one character, so it takes at most "
-            f"{sys.maxunicode + 1} letters, got {size} for n={params.n}, c={params.c}"
+            f"{sys.maxunicode + 1} letters, got {size} for n={n}, c={c}"
         )
     letters = alphabet(params)
     code = {letter: chr(x) for x, letter in enumerate(letters)}
-    coding = _Coding(code, {code[letter]: code[letter.inverse()] for letter in letters}, ())
-    rules = tuple(
-        (label, coding.encode(pattern), coding.encode(free_reduce_letters(rep)))
-        for label, (pattern, rep) in _rules(params)
-    )
-    return replace(coding, rules=rules)
+    inverse = {code[letter]: code[letter.inverse()] for letter in letters}
+    # the generators in the order of their ``relation_codes`` codes
+    gens = [code[rho(i)] for i in range(1, n)]
+    gens += [code[sigma(i, t)] for t in range(1, c + 1) for i in range(1, n)]
+    relators = []
+    for label, lhs, rhs in relation_codes(params):
+        # lhs rhs^-1 is free-reduced and not its own inverse; only x x = 1 reduces away
+        if rhs:
+            relator = "".join([gens[g] for g in lhs] + [inverse[gens[g]] for g in reversed(rhs)])
+            relators.append((label, relator, "".join([inverse[x] for x in reversed(relator)])))
+    strand = {code[letter]: letter.i for letter in letters}
+    kind = {code[letter]: 2 * letter.t - (letter.sign > 0) if letter.t else 0 for letter in letters}
+    return _Coding(params, code, inverse, strand, kind, tuple(relators))
 
 
 def _splice(node: Node, i: int, j: int, rep: Node, inverse: dict[str, str]) -> Node:
@@ -193,24 +115,77 @@ def _splice(node: Node, i: int, j: int, rep: Node, inverse: dict[str, str]) -> N
     return node[:a] + rep[b:e] + node[k:]
 
 
-def _successors(node: Node, coding: _Coding) -> Iterator[tuple[str, int, Node]]:
-    inverse = coding.inverse
-    size = len(node)
-    for label, pattern, rep in coding.rules:
-        if pattern:
-            span = len(pattern)
-            pos = node.find(pattern)
-            while pos >= 0:
-                yield label, pos, _splice(node, pos, pos + span, rep, inverse)
-                pos = node.find(pattern, pos + 1)
-        else:
+def _label(window: Node, letters: tuple[Letter, ...]) -> str:
+    """The label of the braid, commutation or slide rewrite of ``window``."""
+    x, y, *z = [letters[ord(code)] for code in window]
+    if not z:
+        return f"comm({x.token()},{y.token()})"
+    i = min(x.i, y.i)
+    cross = z[0] if x.is_rho else x
+    name = f"braid(r{i})" if cross.is_rho else f"slide({cross.token()[0]}{i}.{cross.t})"
+    return f"{name}:{'fwd' if y.i > i else 'rev'}"
+
+
+def _successors(node: Node, coding: _Coding, labels: bool = False) -> Iterator[tuple]:
+    """Every (label, position, free-reduced successor) of a free-reduced node,
+    in the module docstring's order; labels are "" unless asked for."""
+    n, c, inverse, size = coding.params.n, coding.params.c, coding.inverse, len(node)
+    strands = [coding.strand[x] for x in node]
+    kinds = [coding.kind[x] for x in node]
+    # (rank, position, span, replacement): braids below 0, commutations, slides from top
+    top = n * n * (2 * c + 1) * (4 * c + 4)
+    found = []
+    for pos in range(size - 1):
+        a, b = strands[pos], strands[pos + 1]
+        if a - b > 1 or b - a > 1:
+            # x y -> y x.  lo and hi are the kinds on the lower and higher strand; a
+            # pair's block for crossing kind k holds k on lo with r on hi, k on hi
+            # with r on lo, then k on lo with each kind on hi; hi first comes second
+            lo, hi = (kinds[pos], kinds[pos + 1]) if a < b else (kinds[pos + 1], kinds[pos])
+            back = a > b
+            lead, rank = (lo, 2 * (hi + (hi > 0)) + back) if lo else (hi, 3 - back if hi else back)
+            rank += ((min(a, b) * n + max(a, b)) * (2 * c + 1) + lead) * (4 * c + 4)
+            found.append((rank, pos, 2, node[pos + 1] + node[pos]))
+        elif a != b and pos + 2 < size and strands[pos + 2] == a and not kinds[pos + 1]:
+            # a b a on strands i and i + 1 with r in the middle: a braid, or a slide carrying
+            # the crossing past both r onto b, if it is s iff last == (b > a); fwd iff b > a
+            first, last = kinds[pos], kinds[pos + 2]
+            up = b > a
+            if not (first or last):
+                rank = 2 * min(a, b) + (not up) - 2 * n
+                found.append((rank, pos, 3, node[pos + 1] + node[pos : pos + 2]))
+            elif not (first and last) and bool(last) == (up == (first + last) % 2):
+                moved = chr(ord(node[pos + 2] if last else node[pos]) + 2 * c * (b - a))
+                rep = moved + node[pos : pos + 2] if last else node[pos + 1 : pos + 3] + moved
+                found.append((top + 4 * c * min(a, b) + 2 * (first + last) + (not up), pos, 3, rep))
+    for _, pos, span, rep in sorted(found):
+        label = _label(node[pos : pos + span], alphabet(coding.params)) if labels else ""
+        yield label, pos, _splice(node, pos, pos + span, rep, inverse)
+    for name, relator, reverse in coding.relators:
+        for way, pattern in (("", relator), ("r", reverse)):
+            label = f"rel({name}):{way}ins" if labels else ""
             # an insertion needs reducing only where a seam cancels
-            left, right = inverse[rep[0]], inverse[rep[-1]]
+            left, right = inverse[pattern[0]], inverse[pattern[-1]]
             for pos in range(size + 1):
                 if (pos and node[pos - 1] == left) or (pos < size and node[pos] == right):
-                    yield label, pos, _splice(node, pos, pos, rep, inverse)
+                    yield label, pos, _splice(node, pos, pos, pattern, inverse)
                 else:
-                    yield label, pos, node[:pos] + rep + node[pos:]
+                    yield label, pos, node[:pos] + pattern + node[pos:]
+            label = f"rel({name}):{way}del" if labels else ""
+            pos = node.find(pattern)
+            while pos >= 0:
+                yield label, pos, _splice(node, pos, pos + len(pattern), "", inverse)
+                pos = node.find(pattern, pos + 1)
+
+
+def _path(parent: dict[Node, Optional[Node]], coding: _Coding) -> tuple[Step, ...]:
+    """The steps to "", each labelled as its node's first successor that is the next node."""
+    path, after = [], ""
+    while (node := parent[after]) is not None:
+        steps = _successors(node, coding, True)
+        path.append(next((label, pos) for label, pos, out in steps if out == after))
+        after = node
+    return tuple(reversed(path))
 
 
 def bfs_equal(
@@ -227,26 +202,19 @@ def bfs_equal(
     if not letters:
         return ProofResult(PROVEN_EQUAL, (), 1)
     coding = _coding(u.params)
-    start = coding.encode(letters)
-    # every node reached, with the step that first reached it: the visited set
-    parent: dict[Node, Optional[tuple[Node, str, int]]] = {start: None}
+    start = "".join([coding.code[letter] for letter in letters])
+    # every node reached, with the node that first reached it: the visited set
+    parent: dict[Node, Optional[Node]] = {start: None}
     frontier: list[Node] = [start]
     for _ in range(max_depth):
         nxt: list[Node] = []
         for node in frontier:
-            for label, pos, out in _successors(node, coding):
+            for _, _, out in _successors(node, coding):
                 if out in parent:
                     continue
-                parent[out] = (node, label, pos)
+                parent[out] = node
                 if not out:
-                    path: list[Step] = []
-                    step = parent[out]
-                    while step is not None:
-                        prev, lab, p = step
-                        path.append((lab, p))
-                        step = parent[prev]
-                    path.reverse()
-                    return ProofResult(PROVEN_EQUAL, tuple(path), len(parent))
+                    return ProofResult(PROVEN_EQUAL, _path(parent, coding), len(parent))
                 nxt.append(out)
                 if len(nxt) > max_frontier:
                     return ProofResult(UNKNOWN, None, len(parent))
@@ -256,12 +224,40 @@ def bfs_equal(
     return ProofResult(UNKNOWN, None, len(parent))
 
 
+def _rule(label: str, params: Params, relations: dict[str, tuple[Word, Word]]) -> Rule:
+    """The (pattern, replacement) ``label`` names in ``relations``; ValueError if none."""
+    head, _, rest = label.partition("(")
+    body, _, kind = rest.rpartition(")")
+    if head == "comm" and not kind:
+        pair = parse_word(body.replace(",", " "), params).letters
+        positive = [(x if x.sign > 0 else x.inverse()).token() for x in pair]
+        names = {f"comm({','.join(positive)})", f"comm({','.join(positive[::-1])})"}
+        if len(pair) == 2 and names & relations.keys():
+            return pair, pair[::-1]
+    elif head == "rel" and body in relations and kind in (":ins", ":del", ":rins", ":rdel"):
+        lhs, rhs = relations[body]
+        relator = free_reduce(lhs * rhs.inverse() if kind[1] != "r" else rhs * lhs.inverse())
+        if relator.letters:  # the involutions reduce away
+            return ((), relator.letters) if kind.endswith("ins") else (relator.letters, ())
+    elif kind in (":fwd", ":rev"):
+        name = f"slide(s{body[1:]})" if head == "slide" and body[:1] in ("s", "S") else ""
+        if head == "braid" and body[:1] == "r" and body[1:].isdigit():
+            name = f"braid({body},r{int(body[1:]) + 1})"
+        if name in relations:  # slide(S...) is the slide relation inverted
+            lhs, rhs = [w.inverse() if body[0] == "S" else w for w in relations[name]]
+            return (lhs.letters, rhs.letters) if kind == ":fwd" else (rhs.letters, lhs.letters)
+    raise ValueError(f"no rewrite of {params} is labelled {label!r}")
+
+
 def replay(u: Word, v: Word, path: tuple[Step, ...]) -> Word:
     """Apply a proof path to free_reduce(u * v^-1), free-reducing after
     each step; a valid equality proof ends at the empty word."""
-    rules = rewrite_rules(u.params)
     letters = free_reduce_letters((u * v.inverse()).letters)
+    relations = {label: (lhs, rhs) for label, lhs, rhs in defining_relations(u.params)}
     for label, pos in path:
-        letters = free_reduce_letters(apply_rule(letters, rules[label], pos))
-    # u, v and every rule hold letters valid for u.params.
+        pattern, replacement = _rule(label, u.params, relations)
+        if not 0 <= pos <= len(letters) or letters[pos : pos + len(pattern)] != pattern:
+            raise ValueError(f"{label} does not match at position {pos}")
+        letters = free_reduce_letters(letters[:pos] + replacement + letters[pos + len(pattern) :])
+    # u, v and every relation hold letters valid for u.params.
     return Word._checked(u.params, letters)

@@ -12,7 +12,7 @@ s<i>.<t>.  The defining relations are
     slide    r<i> r<i+1> s<i>.<t>  =  s<i+1>.<t> r<i> r<i+1>
 
 ``relation_codes`` lists each instance once in generator codes, the one
-kept form; ``defining_relations`` decodes it into words on each call.
+kept form: the oracle encodes it, ``defining_relations`` decodes it per call.
 
 Words are whitespace-separated token strings: ``r<i>`` for a virtual
 letter, ``s<i>.<t>`` for a crossing, ``S<i>.<t>`` for its inverse.
@@ -33,7 +33,7 @@ letters already checked, and the word problem (``semidirect``) reads
 their fields straight into plain integer tuples.
 
 Every table derived from (n, c) -- the parse table, relation codes and
-alphabet here, the oracle's rules and codes, ``verify``'s graph -- is
+alphabet here, the oracle's codes and relators, ``verify``'s graph -- is
 built on first use by a ``per_params`` function and kept in one registry,
 keyed by Params and then by build function.  It keeps the tables of the
 last ``TABLES_KEPT`` Params used; an older Params' tables are dropped

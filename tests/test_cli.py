@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -301,6 +302,26 @@ def test_n_beyond_a_machine_int_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert "--n" in captured.err and str(sys.maxsize) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vcd"],
+        ["howson"],
+        ["lerf-witness"],
+        ["center-witness"],
+        ["graph", "stats"],
+        ["ab", "--word", "r1"],
+        ["chi", "--t", "1", "--word", "s1.1"],
+        ["oracle", "eq", "r1", "r1"],
+    ],
+)
+def test_n_beyond_a_machine_int_still_answers(capsys, argv):
+    # closed forms, and a pair that free reduction proves equal
+    assert run(argv + ["--n", str(10**20), "--c", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["schema"] == 1
 
 
 def test_hom_phi(capsys):
@@ -510,9 +531,15 @@ def test_output_is_byte_identical(capsys):
     assert capsys.readouterr().out == first
 
 
+# sha256 of verify-paper's stdout: its claims are seeded, so the report's
+# bytes change only when a claim or its details do
+VERIFY_PAPER_SHA256 = "2cf0bdc428565b4fde083d77c45c369f85b8f342195e41f77641df04c3803f13"
+
+
 def test_verify_paper_runs_clean(capsys):
     code = run(["verify-paper"])
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SHA256
     payload = json.loads(out)
     assert code == 0
     assert payload["ok"] is True

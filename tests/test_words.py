@@ -22,7 +22,7 @@ from uvbraid import (
     sigma,
     word,
 )
-from uvbraid.oracle import _coding, bfs_equal, replay, rewrite_rules
+from uvbraid.oracle import _coding, bfs_equal, replay
 from uvbraid.verify import build_graph
 from uvbraid.words import relation_codes
 
@@ -418,7 +418,7 @@ def test_warm_parse_products_and_reductions_check_no_letter(monkeypatch):
 def test_registry_keeps_a_params_tables_until_they_go_together():
     words._tables.cache_clear()
     p = Params(5, 2)
-    builds = (alphabet, relation_codes, rewrite_rules, build_graph)
+    builds = (alphabet, relation_codes, _coding, build_graph)
     held = {build: build(p) for build in builds}
     for c in range(1, words.TABLES_KEPT):
         alphabet(Params(2, c))
@@ -436,16 +436,18 @@ def test_evicted_oracle_tables_return_their_memory():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        rewrite_rules(Params(20, 3))
-        _coding(Params(20, 3))
+        _coding(Params(40, 3))
         built = tracemalloc.get_traced_memory()[0] - base
+        # TABLES_KEPT further Params evict (40, 3), and build nothing
         for c in range(1, words.TABLES_KEPT + 1):
-            alphabet(Params(3, c))
+            words._tables(Params(2, c))
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert built > 10_000_000  # the rules and their codes: about 14 MB
+    # the codes and relators, with the alphabet and relation codes they
+    # are built from: about 5.4 MB
+    assert built > 4_000_000
     assert kept < built / 10
 
 
