@@ -29,6 +29,14 @@ from .words import SIGMA, Letter, Params, Word, rho, sigma, word
 
 # Largest order that ``quotient_order`` certifies by closure.
 CLOSURE_LIMIT = 20_000
+# Most decimal digits, as log10 of the order, that ``quotient_order``
+# computes: 2 * 25,205! passes and 2 * 25,206! does not.  ``quot order``
+# computes and prints such an order in about 0.5 s, and the cost grows
+# faster than the digit count.
+ORDER_DIGIT_LIMIT = 100_000
+# Most steps, (c + 2)(n + c), of the units certificate: it checks c + 2
+# images, each with a permutation of n points and a vector of c entries.
+UNITS_STEP_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,11 +141,24 @@ def quotient_order(params: Params, d: int) -> OrderCertificate:
     (0, (1 2)) = image(r1) and (0, (1 2 .. n)) = image(r1 r2 .. r<n-1>)
     are checked to lie in the image; they generate the whole group, and
     checking these c + 2 images takes time linear in n.
+
+    Refuses up front, before any big number is built: OverflowError
+    when the order has more than ``ORDER_DIGIT_LIMIT`` decimal digits
+    (counted in closed form as c log10 d + log10 n!), and ValueError
+    when the units certificate would take more than
+    ``UNITS_STEP_LIMIT`` steps.
     """
     if d < 2:
         raise ValueError(f"finite quotients need d >= 2, got {d}")
-    if params.n < 2:
-        raise ValueError(f"quotient order needs n >= 2, got n={params.n}")
+    n, c = params.n, params.c
+    if n < 2:
+        raise ValueError(f"quotient order needs n >= 2, got n={n}")
+    digits = c * math.log10(d) + math.lgamma(n + 1) / math.log(10)
+    if digits > ORDER_DIGIT_LIMIT:
+        raise OverflowError(
+            f"the order d^c * n! has about {digits:.3g} digits for n={n}, c={c}, d={d},"
+            f" more than ORDER_DIGIT_LIMIT = {ORDER_DIGIT_LIMIT}"
+        )
     n_fact = math.factorial(params.n)
     order = d**params.c * n_fact
     if order <= CLOSURE_LIMIT:
@@ -145,12 +166,17 @@ def quotient_order(params: Params, d: int) -> OrderCertificate:
         if size != order:
             raise RuntimeError(f"closure reached {size} elements, expected {order}")
         return OrderCertificate(order, n_fact, "closure", size)
+    steps = (c + 2) * (n + c)
+    if steps > UNITS_STEP_LIMIT:
+        raise ValueError(
+            f"the units certificate takes (c + 2)(n + c) = {steps} steps for n={n}, c={c},"
+            f" more than UNITS_STEP_LIMIT = {UNITS_STEP_LIMIT}"
+        )
     for t in range(1, params.c + 1):
         unit = quotient_image(word(params, sigma(1, t), rho(1)), d)  # r1 is an involution
         expected_vec = tuple(1 if k == t - 1 else 0 for k in range(params.c))
         if unit.vec != expected_vec or not unit.perm.is_identity:
             raise RuntimeError(f"unit for colour {t} not realised in the image")
-    n = params.n
     for k, perm in [(1, adjacent(n, 1)), (n - 1, Perm(tuple(range(2, n + 1)) + (1,)))]:
         img = quotient_image(word(params, *map(rho, range(1, k + 1))), d)  # r1 .. r<k>
         if any(img.vec) or img.perm != perm:

@@ -10,18 +10,24 @@ graph with n(n-1)c vertices (i, j, t) and edges between colour-blind
 disjoint pairs.
 
 So a kernel word is a heap of pieces, each lying on its two strands,
-kept as one stack of pieces per strand.  The stacking pass,
-``stack_pieces``, cancels a letter when both its strand stacks have on
-top the same piece, holding the inverse letter; the piling it leaves
-is reduced, so it is empty exactly when the word is trivial, and the
-word problem needs nothing more.  The read-out, ``read_out``, takes
-back the smallest piece (in lexicographic (i, j, t) order) at the
-bottom of both its strands, again and again, which yields a canonical
-fully-cancelled word: two words are equal in the group iff their
-normal forms are equal letter for letter.  Both passes work on pieces
-given as plain (i, j, t, sign) tuples, with stacks only for the
-strands the word touches, so their cost follows the word length and
-not n; ``normal_form`` runs both for a validated ``KWord``.
+kept as one stack of pieces per strand.  Stacking cancels a letter
+when both its strand stacks have on top the same piece, holding the
+inverse letter, and pushes it onto both otherwise; the piling it
+leaves is reduced, so it is empty exactly when the word is trivial,
+and the word problem needs nothing more.  The read-out, ``read_out``,
+takes back the smallest piece (in lexicographic (i, j, t) order) at
+the bottom of both its strands, again and again, which yields a
+canonical fully-cancelled word: two words are equal in the group iff
+their normal forms are equal letter for letter.  Pieces are plain
+(i, j, t, sign) tuples.
+
+Two loops stack.  ``stack_pieces`` stacks a sequence of pieces into a
+dict with a stack only for each strand the pieces touch, so its cost
+follows the word length and not n; ``normal_form`` runs it and then
+``read_out`` for a validated ``KWord``.  The word problem of UV(n, c)
+does not build pieces first: ``semidirect._scan`` stacks each crossing
+as it reads it, into a per-strand array filled lazily, and hands the
+non-empty stacks to ``read_out`` only for a normal form.
 
 The certificates read off this graph check their witnesses with
 ``commute``, the colour-blind disjointness of strand pairs, and never
@@ -106,8 +112,11 @@ def vertices(params: Params) -> Iterator[Vertex]:
 
 
 def stack_pieces(pieces: Iterable[Piece]) -> Strands:
-    """The stacking pass: the reduced piling of a kernel word given as
-    (i, j, t, sign) pieces, as a stack per strand the word touches.
+    """The reduced piling of a kernel word given as (i, j, t, sign)
+    pieces, as a stack per strand the word touches: the stacker of
+    ``normal_form`` and of the tests' two-scan word problem reference.
+    Its dict is keyed by strand, so no strand costs anything until a
+    piece lies on it.
 
     A letter whose two strand stacks have the same piece on top, holding
     its inverse, cancels that piece; otherwise it is pushed as a new

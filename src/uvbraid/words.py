@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from operator import itemgetter
 from random import Random
 from typing import Any, Callable, Iterator, TypeVar
 
@@ -282,9 +283,14 @@ def parse_word(text: str, params: Params) -> Word:
     table = _letter_table(params)
     tokens = text.split()
     try:
-        # tuple() of a list allocates the tuple once; tuple(map(...)) grows
-        # it by resizing, which raised peak memory over many short words.
-        letters = tuple([table[tok] for tok in tokens])
+        # itemgetter looks two or more tokens up in one C loop, into a tuple
+        # allocated at its final size (tuple(map(...)) grows it by resizing,
+        # which raised peak memory over many short words); for one token it
+        # would return the bare letter.
+        if len(tokens) > 1:
+            letters = itemgetter(*tokens)(table)
+        else:
+            letters = tuple([table[tok] for tok in tokens])
     except KeyError:
         parsed: list[Letter] = []
         for pos, tok in enumerate(tokens, start=1):

@@ -306,6 +306,35 @@ def test_n_beyond_a_machine_int_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "nc, message",
+    [
+        # past sys.maxsize the option is named as for the other commands
+        (["--n", "3", "--c", str(10**20)], f"--c must be at most sys.maxsize = {sys.maxsize}"),
+        (
+            ["--n", "3", "--c", "100000000"],
+            "the order d^c * n! has about 3.01e+07 digits for n=3, c=100000000, d=2,"
+            " more than ORDER_DIGIT_LIMIT = 100000",
+        ),
+        (
+            ["--n", "1000000000", "--c", "1"],
+            "the order d^c * n! has about 8.57e+09 digits for n=1000000000, c=1, d=2,"
+            " more than ORDER_DIGIT_LIMIT = 100000",
+        ),
+        (
+            ["--n", "2", "--c", "5000"],
+            "the units certificate takes (c + 2)(n + c) = 25020004 steps for n=2, c=5000,"
+            " more than UNITS_STEP_LIMIT = 10000000",
+        ),
+    ],
+)
+def test_quot_order_refuses_huge_orders_up_front(capsys, nc, message):
+    assert run(["quot", "order", *nc, "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["vcd"],

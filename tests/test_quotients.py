@@ -18,7 +18,14 @@ from uvbraid import (
     random_word,
     relator_words,
 )
-from uvbraid.quotients import CLOSURE_LIMIT, _closure, _letter_image, quotient_identity
+from uvbraid.quotients import (
+    CLOSURE_LIMIT,
+    ORDER_DIGIT_LIMIT,
+    UNITS_STEP_LIMIT,
+    _closure,
+    _letter_image,
+    quotient_identity,
+)
 from uvbraid.words import alphabet, rho, sigma
 
 from perm_reference import compose
@@ -205,6 +212,28 @@ def test_units_certificate_checks_c_plus_two_images(monkeypatch, n):
     cert = quotient_order(Params(n, 3), 2)
     assert (cert.order, cert.method) == (8 * math.factorial(n), "units")
     assert len(images) == 3 + 2
+
+
+@pytest.mark.parametrize(
+    "n, c, d", [(3, 10**20, 2), (3, 10**8, 2), (10**9, 1, 2), (25_206, 1, 2), (2, 10**5, 10)]
+)
+def test_quotient_order_refuses_huge_orders_up_front(n, c, d):
+    # c log10 d + log10 n! is counted in closed form, before d^c or n!
+    with pytest.raises(OverflowError, match=f"more than ORDER_DIGIT_LIMIT = {ORDER_DIGIT_LIMIT}$"):
+        quotient_order(Params(n, c), d)
+
+
+def test_quotient_order_just_under_the_digit_limit():
+    cert = quotient_order(Params(25_205, 1), 2)
+    assert cert.order == 2 * cert.n_factorial == 2 * math.factorial(25_205)
+    assert cert.method == "units"
+
+
+def test_units_certificate_refuses_past_its_step_limit():
+    # c + 2 images of c + n entries each: at n = 2 the bound is c of about 3,160
+    assert (3_000 + 2) * (2 + 3_000) <= UNITS_STEP_LIMIT < (3_200 + 2) * (2 + 3_200)
+    with pytest.raises(ValueError, match=f"more than UNITS_STEP_LIMIT = {UNITS_STEP_LIMIT}$"):
+        quotient_order(Params(2, 3_200), 2)
 
 
 def test_quotient_order_small_cases():

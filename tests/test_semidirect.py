@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from uvbraid import (
     KWord,
     NormalForm,
     Params,
+    Perm,
     Word,
     all_perms,
     are_equal,
@@ -18,6 +20,7 @@ from uvbraid import (
     is_pure,
     is_trivial,
     kletter_to_word,
+    normal_form,
     parse_word,
     random_word,
     relator_words,
@@ -240,6 +243,65 @@ def test_word_problem_never_reads_out(monkeypatch):
         assert is_trivial(u * v.inverse()) is equal
     with pytest.raises(AssertionError, match="built a normal form"):
         to_normal_form(pairs[0][0])
+
+
+def _stacked_normal_form(w):
+    """w's normal form from the two-scan reference's pieces, stacked by
+    ``raag.stack_pieces`` through ``raag.normal_form``."""
+    pieces, images = word_problem_reference._scan(w)
+    kword = KWord._checked(w.params, tuple([KLetter(*piece) for piece in pieces]))
+    return NormalForm(normal_form(kword), Perm(tuple(images[1:])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_normal_form_matches_the_kernel_stacker(data):
+    # the fused scan's stacks, read out, against the pieces stacked apart;
+    # half the words are u v^-1 with v = u and a relator, so they cancel
+    p = Params(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)))
+    letters = st.lists(st.sampled_from(alphabet(p)), max_size=16) if p.n > 1 else st.just([])
+    u = Word(p, tuple(data.draw(letters)))
+    w = u
+    if p.n > 1 and data.draw(st.booleans()):
+        rel = data.draw(st.sampled_from(relator_words(p)))[1]
+        pos = data.draw(st.integers(0, len(u)))
+        w = u * Word(p, u.letters[:pos] + rel.letters + u.letters[pos:]).inverse()
+    assert to_normal_form(w) == _stacked_normal_form(w)
+
+
+def test_normal_form_matches_the_kernel_stacker_at_benchmark_scale():
+    p = Params(20, 3)
+    for u, v, equal in benchmark_scale_pairs(p, 600, 36, seed=601):
+        w = u * v.inverse()
+        for x in (u, v, w):
+            assert to_normal_form(x) == _stacked_normal_form(x)
+        assert (to_normal_form(w) == to_normal_form(Word(p))) is equal
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_word_problem_memory_at_large_n():
+    # The strand array holds None until a strand's first push: a 3-letter
+    # word at n = 10^6 costs the image lists (about 80 MB traced for
+    # are_equal) and one pointer per strand, where an array of empty
+    # stacks would add about 56 MB.
+    n = 10**6
+    p = Params(n, 1)
+    w = parse_word(f"s1.1 r{n - 2} S{n - 1}.1", p)
+    equal, peak = _traced_peak(lambda: are_equal(w, Word(p)))
+    assert equal is False
+    assert peak < 100_000_000
+    nf, peak = _traced_peak(lambda: to_normal_form(w))
+    assert nf.kword.letters == (KLetter(1, 2, 1), KLetter(n - 2, n, 1, -1))
+    assert nf.perm == Perm(tuple(range(1, n - 2)) + (n - 1, n - 2, n))
+    assert peak < 120_000_000
 
 
 def test_derived_words_check_no_letter(monkeypatch):

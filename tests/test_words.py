@@ -358,6 +358,29 @@ def _outcome(parse, text, p):
     return w.letters
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", ()),
+        ("s2.1", (sigma(2, 1),)),
+        ("r1 S2.2", (rho(1), sigma(2, 2, -1))),
+        ("R2 s1.1", (rho(2), sigma(1, 1))),  # a miss on the first token
+        ("r1 s1.1 S1.9", ("token 3: crossing colour 9 out of range 1..2 for c=2", 3)),
+        ("r1 s1.1 s1", ("token 3: expected s<i>.<t> but got 's1'", 3)),
+        ("r3", ("token 1: letter index 3 out of range 1..2 for n=3", 1)),
+    ],
+)
+def test_parse_word_of_few_tokens_and_misses(text, expected):
+    # two or more tokens are looked up together by itemgetter, fewer one
+    # by one; a miss anywhere falls back to the per-token parser
+    p = Params(3, 2)
+    _forget_letter_table(p)
+    assert _parse_outcome(text, p) == expected
+    _warm(p)
+    assert _parse_outcome(text, p) == expected
+    assert _parse_outcome(text, p) == _outcome(parse_reference.parse_word, text, p)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("c", (1, 2, 3))
 def test_parse_matches_the_per_token_reference(n, c):

@@ -1,10 +1,12 @@
 """The two-scan word problem: the reference against which
 ``semidirect.are_equal`` and ``semidirect.is_trivial`` and their single
-scan of u v^-1 are checked.  Each word is scanned on its own into its
-piece list and image list; ``are_equal`` compares the two image lists
-and, if they agree, stacks u's pieces followed by v's, inverted and in
-reverse order.  Not collected by pytest; test modules import it from
-this directory."""
+fused scan of u v^-1 are checked.  Each word is scanned on its own into
+its piece list and image list; ``are_equal`` compares the two image
+lists and, if they agree, stacks u's pieces followed by v's, inverted
+and in reverse order, with ``raag.stack_pieces``.  So this reference
+shares no loop with the engine, which stacks each crossing as its scan
+reads it.  Not collected by pytest; test modules import it from this
+directory."""
 
 from uvbraid import Word
 from uvbraid.raag import Piece, stack_pieces
