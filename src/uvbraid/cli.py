@@ -214,13 +214,47 @@ def _cmd_hom_phi(args: argparse.Namespace, params: Params) -> int:
 def _cmd_hom_enumerate(args: argparse.Namespace, params: Params) -> int:
     budget = homs.SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     try:
-        found = homs.enumerate_homs(params, args.m, budget)
+        rows = homs.enumerate_rows(params, args.m, budget)
     except homs.BudgetExceededError as exc:
         sys.stderr.write(
             f"search budget exceeded with {len(exc.partial)} homomorphisms found\n"
         )
         return 2
-    return _emit(m=args.m, count=len(found), homs=[h.to_json_dict() for h in found])
+    _write_rows(params, args.m, rows)
+    return 0
+
+
+# Rows rendered per write of ``hom enumerate``.
+ROWS_PER_WRITE = 1024
+
+
+def _write_rows(params: Params, m: int, rows: list[bytes]) -> None:
+    """Print the ``hom enumerate`` document of these rows, with the bytes
+    ``_emit`` would print for their ``HomSpec.to_json_dict`` list.
+
+    ``_json`` writes the document with -1 in the slot of the list, and one
+    homomorphism with -1 in the slot of each image point; no other part
+    of either has a minus sign.  In the homomorphism's text each slot
+    becomes ``%s``, and each row fills that template with the names of
+    its points plus one.  The rows go out ``ROWS_PER_WRITE`` at a time, so
+    no object per homomorphism and no whole output is built.  There is
+    always a row: the trivial homomorphism.
+    """
+    head, tail = _json({"schema": 1, "m": m, "count": len(rows), "homs": [-1]}).split("-1")
+    n, image = params.n, [-1] * m
+    hom = {"m": m, "rho": [image] * (n - 1), "sigma": [[image] * params.c] * (n - 1)}
+    template = _json(hom, "    ").replace("-1", "%s")
+    separator = ",\n    "
+    names = [str(x + 1) for x in range(m)]
+    write = sys.stdout.write
+    write(head)
+    for start in range(0, len(rows), ROWS_PER_WRITE):
+        chunk = rows[start : start + ROWS_PER_WRITE]
+        if start:
+            write(separator)
+        text = separator.join([template] * len(chunk))
+        write(text % tuple(map(names.__getitem__, b"".join(chunk))))
+    write(tail + "\n")
 
 
 def _cmd_ab(args: argparse.Namespace, params: Params) -> int:

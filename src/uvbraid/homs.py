@@ -5,18 +5,21 @@ A homomorphism to S_m is specified by its generator images
 the defining relations in generator codes, and evaluates it on plain
 image tuples indexed by code; no ``Word`` is built.
 ``verify_homspec`` checks every relation instance and reports the
-first failure.  ``enumerate_homs`` backtracks over generator images in
+first failure.  ``enumerate_rows`` backtracks over generator images in
 code order: involutions for the virtual letters, then crossing images
 column by column, where the slide relations force every image beyond
 the first row.  Each relation is checked once, when its last generator
 is assigned; the involution and slide relations hold by construction
-and are not checked at all, so a full assignment is kept as it stands.
+and are not checked at all, so a full assignment is kept as it stands,
+packed into one row of bytes.
 The search runs up to conjugation in S_m: under r1 only the first
-involution of each conjugacy class is searched, and the homomorphisms
-found there are conjugated onto each later involution of that class.
+involution of each conjugacy class is searched, and the rows found
+there are conjugated onto each later involution of that class.
 Budgets are node count plus wall clock, with the node count that of the
 plain search over every involution; exceeding one raises, never
-truncates silently.
+truncates silently.  ``enumerate_homs`` unpacks the rows into
+``HomSpec``s; the CLI and the claims read the rows themselves
+(``row_images``, ``row_is_abelian``).
 
 The on/off family ``hom_from_bits`` is indexed by c+1 bits: bit t
 sends every colour-t crossing to its adjacent transposition or to the
@@ -37,6 +40,7 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from operator import itemgetter
 from typing import Optional
 
 from .perms import Perm, adjacent, all_perms, identity
@@ -142,10 +146,11 @@ def _code_images(h: HomSpec) -> list[Image]:
     return [tuple(y - 1 for y in p.images) for p in (*h.image_rho, *sigma_by_code)]
 
 
-def _homspec(m: int, perms: list[Perm], n: int) -> HomSpec:
-    """The HomSpec whose generator images, in code order, are ``perms``."""
-    columns = [perms[k : k + n - 1] for k in range(n - 1, len(perms), n - 1)]
-    return HomSpec(m, tuple(perms[: n - 1]), tuple(zip(*columns)))
+def _homspec(m: int, perms: list[Perm], params: Params) -> HomSpec:
+    """The HomSpec whose generator images, in ``generator_images`` order,
+    are ``perms``."""
+    sigma = iter(perms[params.n - 1 :])
+    return HomSpec(m, tuple(perms[: params.n - 1]), tuple(zip(*[sigma] * params.c)))
 
 
 def verify_homspec(h: HomSpec, params: Params) -> tuple[bool, Optional[str]]:
@@ -159,7 +164,7 @@ def verify_homspec(h: HomSpec, params: Params) -> tuple[bool, Optional[str]]:
 
 
 def has_abelian_image(h: HomSpec) -> bool:
-    return all(_mul(a, b) == _mul(b, a) for a, b in combinations(_code_images(h), 2))
+    return _commute(_code_images(h))
 
 
 def check_bits(bits: Bits, params: Params) -> None:
@@ -228,17 +233,45 @@ def color_parity(t: int, w: Word) -> int:
 
 @dataclass
 class SearchBudget:
+    """Limits of one enumeration: nodes tried and seconds of wall clock.
+
+    ``max_nodes`` bounds memory as well as time.  Each homomorphism kept
+    is one row of fixed size, (n - 1)(c + 1)m bytes (``enumerate_rows``),
+    and a search keeps at most one row per node it is charged, so it
+    holds at most ``max_nodes`` rows.
+    """
+
     max_nodes: int = 2_000_000
     max_seconds: float = 300.0
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when enumeration runs out of nodes or time; carries the
-    homomorphisms found so far in ``partial``."""
+    homomorphisms found so far in ``partial``: sorted ``HomSpec``s from
+    ``enumerate_homs``, rows in the order found from ``enumerate_rows``."""
 
-    def __init__(self, message: str, partial: list[HomSpec]):
+    def __init__(self, message: str, partial: list):
         super().__init__(message)
         self.partial = partial
+
+
+# A row holds each image point in one byte, so S_m fits for m up to 256.
+ROW_DEGREE_LIMIT = 256
+
+
+def row_images(row: bytes, m: int) -> list[bytes]:
+    """The generator images of a row, each as its m 0-based images."""
+    return [row[k : k + m] for k in range(0, len(row), m)]
+
+
+def row_is_abelian(row: bytes, m: int) -> bool:
+    """Whether the generator images of a row commute pairwise."""
+    return _commute(row_images(row, m))
+
+
+def _commute(images: list) -> bool:
+    """Whether these 0-based image sequences commute pairwise."""
+    return all(_mul(a, b) == _mul(b, a) for a, b in combinations(set(images), 2))
 
 
 def _conjugator(y: Image) -> tuple[int, Image]:
@@ -257,6 +290,51 @@ def enumerate_homs(
 ) -> list[HomSpec]:
     """All homomorphisms UV(n, c) -> S_m, as sorted HomSpecs.
 
+    The rows of ``enumerate_rows``, each unpacked into a ``HomSpec``;
+    the HomSpecs share one ``Perm`` per distinct image.  The clock of
+    the budget runs from this call on and is checked before each HomSpec
+    is built, so a time budget error can carry the first HomSpecs of the
+    sorted list.  A budget error of the search carries its rows sorted
+    and unpacked.
+    """
+    if budget is None:
+        budget = SearchBudget()
+    started = time.monotonic()
+    perm_of: dict[bytes, Perm] = {}
+
+    def unpack(row: bytes) -> HomSpec:
+        perms = []
+        for image in row_images(row, m):
+            p = perm_of.get(image)
+            if p is None:
+                p = perm_of[image] = Perm(tuple(x + 1 for x in image))
+            perms.append(p)
+        return _homspec(m, perms, params)
+
+    try:
+        rows = enumerate_rows(params, m, budget)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(str(exc), list(map(unpack, sorted(exc.partial)))) from None
+    homs: list[HomSpec] = []
+    for row in rows:
+        if time.monotonic() - started > budget.max_seconds:
+            raise BudgetExceededError(f"time budget {budget.max_seconds}s exceeded", homs)
+        homs.append(unpack(row))
+    return homs
+
+
+def enumerate_rows(
+    params: Params, m: int, budget: Optional[SearchBudget] = None
+) -> list[bytes]:
+    """All homomorphisms UV(n, c) -> S_m as rows, sorted bytewise.
+
+    A row is the generator images in ``HomSpec.generator_images`` order,
+    each as its m 0-based images, one byte per point: r<1> .. r<n-1>,
+    then s<1>.<1> .. s<1>.<c>, s<2>.<1> and so on.  Every image has m
+    bytes, so the bytewise order of rows is the order of ``sorted_homs``.
+    An m above ``ROW_DEGREE_LIMIT`` does not fit a byte and is refused
+    with a ``ValueError`` before any set-up.
+
     Backtracking over image tuples in generator code order (see
     ``words.relation_codes``): each virtual image ranges over the
     involutions of S_m, each s<1>.<t> over all of S_m, and every later
@@ -266,16 +344,16 @@ def enumerate_homs(
     and ``slide(s<i>.<t>)``, which hold by construction.  One node is
     spent per involution or S_m element tried; forced images are free.
     A full assignment has passed every relation on the way down, so it
-    is kept without a final ``verify_homspec``.
+    is kept as a row without a final ``verify_homspec``.
 
     The search runs up to conjugation in S_m.  Conjugating by g maps
     homomorphisms to homomorphisms, and the search subtree under
     r1 = x onto the one under r1 = g x g^-1, node for node.  r1 runs
     over the involutions in the plain search's order, one node each.
     The first involution y0 of each class k (its number of 2-cycles) has
-    its subtree searched; its homomorphisms H, its node count sub and the
-    g0 of ``_conjugator`` are recorded.  A later involution y of class k
-    with conjugator g is charged sub nodes without a search, and gets
+    its subtree searched; its rows H, its node count sub and the g0 of
+    ``_conjugator`` are recorded.  A later involution y of class k with
+    conjugator g is charged sub nodes without a search, and gets
     c H c^-1 with c = g g0^-1, since c y0 c^-1 = y.  If sub nodes would
     pass ``max_nodes``, y's subtree is searched instead, and it runs out
     at the very node where the plain search over every involution would.
@@ -284,12 +362,17 @@ def enumerate_homs(
 
     The clock is checked once the relation table is built, every 256
     nodes, before each full assignment is kept and before each
-    conjugated homomorphism is built.  A negative ``max_nodes`` is
-    refused before any set-up.  A NaN ``max_seconds`` would never run
-    out, so it is refused; ``inf`` means no time limit, and a negative
-    one is a clock already spent.
+    conjugated row is built.  A negative ``max_nodes`` is refused before
+    any set-up.  A NaN ``max_seconds`` would never run out, so it is
+    refused; ``inf`` means no time limit, and a negative one is a clock
+    already spent.
     """
     _check_degree(m)
+    if m > ROW_DEGREE_LIMIT:
+        raise ValueError(
+            f"a row holds each image point in one byte, so m must be at most"
+            f" {ROW_DEGREE_LIMIT}, got m={m}"
+        )
     if budget is None:
         budget = SearchBudget()
     if budget.max_nodes < 0:
@@ -298,7 +381,7 @@ def enumerate_homs(
         raise ValueError("time budget must be a number of seconds or inf, got nan")
     n = params.n
     if n == 1:
-        return [HomSpec(m, (), ())]
+        return [b""]
     order = 1
     for k in range(2, m + 1):
         order *= k
@@ -306,34 +389,35 @@ def enumerate_homs(
             # all-identity virtual images admit every first crossing image,
             # so the search would try all m! of them: refuse before building S_m
             raise BudgetExceededError(f"node budget {budget.max_nodes} exceeded", [])
-    found: list[HomSpec] = []
+    found: list[bytes] = []
     nodes = 0
     started = time.monotonic()
 
     def check_time() -> None:
         if time.monotonic() - started > budget.max_seconds:
-            raise BudgetExceededError(
-                f"time budget {budget.max_seconds}s exceeded", sorted_homs(found)
-            )
+            raise BudgetExceededError(f"time budget {budget.max_seconds}s exceeded", found)
 
     def spend() -> None:
         nonlocal nodes
         nodes += 1
         if nodes > budget.max_nodes:
-            raise BudgetExceededError(
-                f"node budget {budget.max_nodes} exceeded", sorted_homs(found)
-            )
+            raise BudgetExceededError(f"node budget {budget.max_nodes} exceeded", found)
         if nodes % 256 == 0:
             check_time()
 
-    perm_of: dict[Image, Perm] = {}
+    # every element of S_m as an image tuple, and its bytes for the rows
+    packed: dict[Image, bytes] = {}
     for p in all_perms(m):
-        if len(perm_of) % 256 == 0:
+        if len(packed) % 256 == 0:
             check_time()
-        perm_of[tuple(y - 1 for y in p.images)] = p
-    sym, one = list(perm_of), tuple(range(m))
+        image = tuple(y - 1 for y in p.images)
+        packed[image] = bytes(image)
+    sym, one = list(packed), tuple(range(m))
     involutions = [p for p in sym if _mul(p, p) == one]
     imgs = [one] * ((n - 1) * (params.c + 1))
+    # the code of each generator, in the order of a row
+    crossings = [(n - 1) * t + i for i in range(n - 1) for t in range(1, params.c + 1)]
+    row_order = itemgetter(*range(n - 1), *crossings)
     completes: list[list[tuple[Codes, Codes]]] = [[] for _ in imgs]
     for label, lhs, rhs in relation_codes(params):
         # virtual images are involutions and forced crossings are slides by construction
@@ -346,13 +430,10 @@ def enumerate_homs(
             _product(lhs, imgs, one) == _product(rhs, imgs, one) for lhs, rhs in completes[k]
         )
 
-    def keep(images: tuple[Image, ...]) -> None:
-        found.append(_homspec(m, [perm_of[g] for g in images], n))
-
     def assign(k: int) -> None:
         if k == len(imgs):
             check_time()
-            keep(tuple(imgs))
+            found.append(b"".join(map(packed.__getitem__, row_order(imgs))))
             return
         row = k % (n - 1)
         if k >= n - 1 and row:
@@ -367,29 +448,33 @@ def enumerate_homs(
             if holds(k):
                 assign(k + 1)
 
-    # per class k: the homomorphisms under its first involution, as image
-    # tuples, the node count of that involution's subtree, and its g
-    searched: dict[int, tuple[list[list[Image]], int, Image]] = {}
+    # per class k: the rows under its first involution, the node count of
+    # that involution's subtree, and its g
+    searched: dict[int, tuple[list[bytes], int, Image]] = {}
     for y in involutions:
         spend()
         k, g = _conjugator(y)
         if k in searched and nodes + searched[k][1] <= budget.max_nodes:
-            first_homs, sub, g0 = searched[k]
+            first_rows, sub, g0 = searched[k]
             nodes += sub
             # c = g g0^-1 sends g0(z) to g(z), so c y0 c^-1 = y; and
-            # c a c^-1 sends z to c(a(c^-1(z)))
+            # c a c^-1 sends z to c(a(c^-1(z))): translate each point of
+            # a row by c, then read each image's points at c^-1
             c = tuple(map(dict(zip(g0, g)).__getitem__, one))
             c_inverse = tuple(map(dict(zip(g, g0)).__getitem__, one))
-            for images in first_homs:
+            table = bytes(c) + bytes(256 - m)  # translate reads 256 entries
+            gather = itemgetter(*[j + z for j in range(0, len(imgs) * m, m) for z in c_inverse])
+            for row in first_rows:
                 check_time()
-                keep(tuple(tuple(c[a[z]] for z in c_inverse) for a in images))
+                found.append(bytes(gather(row.translate(table))))
             continue
         # no relation is completed by r1 alone once invol(r1) is left out
         imgs[0], before, start = y, nodes, len(found)
         assign(1)
         if k not in searched:
-            searched[k] = ([_code_images(h) for h in found[start:]], nodes - before, g)
-    return sorted_homs(found)
+            searched[k] = (found[start:], nodes - before, g)
+    found.sort()
+    return found
 
 
 def sorted_homs(homs: list[HomSpec]) -> list[HomSpec]:

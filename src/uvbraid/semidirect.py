@@ -174,10 +174,13 @@ def are_equal(u: Word, v: Word) -> bool:
     if u.params != v.params:
         raise ValueError(f"cannot compare words with parameters {u.params} and {v.params}")
     n = u.params.n
-    images, strands = list(range(n + 1)), [None] * (n + 1)
+    # the image list starts as a copy of the identity, so the two share
+    # their int objects
+    identity = list(range(n + 1))
+    images, strands = identity.copy(), [None] * (n + 1)
     _scan(u.letters, 1, images, strands)
     _scan(reversed(v.letters), -1, images, strands)  # v^-1, as r<i>^-1 = r<i>
-    return images == list(range(n + 1)) and not any(strands)
+    return images == identity and not any(strands)
 
 
 def is_pure(w: Word) -> bool:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -516,6 +517,131 @@ def test_hom_enumerate_nan_time_budget_exits_2(capsys):
     assert captured.err == "error: time budget must be a number of seconds or inf, got nan\n"
     assert run([*argv, "inf"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 60
+
+
+def _homspec_document(n, c, m):
+    """The ``hom enumerate`` document as ``json.dumps`` writes it from the
+    ``HomSpec.to_json_dict`` list of ``enumerate_homs``."""
+    found = uvbraid.enumerate_homs(uvbraid.Params(n, c), m)
+    doc = {"schema": 1, "m": m, "count": len(found), "homs": [h.to_json_dict() for h in found]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class _Sha256Sink:
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        return len(text)
+
+
+# The sha256 of ``_homspec_document`` for the two shapes of the grid below
+# whose document json.dumps takes seconds and gigabytes to write (138,240
+# and 470,016 homomorphisms); each was computed once from that function.
+LARGE_HOM_DIGESTS = {
+    (2, 3, 4): "8913fbc21ca2c17768be8ef922e1f53f55dc82871de062d54d86e365ebf5a3ec",
+    (3, 3, 4): "d3c6277326231292e9d15404f132be84598c86bcc8deca36a9570fa13a3e4edc",
+}
+
+
+@pytest.mark.parametrize(
+    "n,c,m", [(n, c, m) for n in range(1, 5) for c in range(1, 4) for m in range(1, 5)]
+)
+def test_hom_enumerate_writes_the_homspec_document(capsys, n, c, m):
+    argv = ["hom", "enumerate", "--n", str(n), "--c", str(c), "--m", str(m)]
+    if (n, c, m) in LARGE_HOM_DIGESTS:
+        sink = _Sha256Sink()
+        with contextlib.redirect_stdout(sink):
+            assert run(argv) == 0
+        assert sink.hash.hexdigest() == LARGE_HOM_DIGESTS[n, c, m]
+        return
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out == _homspec_document(n, c, m)
+    if n == 1:
+        assert '"rho": [],\n      "sigma": []' in out
+
+
+@pytest.mark.parametrize("rows_per_write", [1, 4, 5, 59, 60, 61])
+def test_hom_enumerate_writes_rows_in_chunks(capsys, monkeypatch, rows_per_write):
+    # (3, 1, 3) has 60 homomorphisms: chunks that divide it and that do not
+    monkeypatch.setattr(uvbraid.cli, "ROWS_PER_WRITE", rows_per_write)
+    writes = []
+    real_write = sys.stdout.write
+
+    def write(text):
+        writes.append(text)
+        return real_write(text)
+
+    monkeypatch.setattr(sys.stdout, "write", write)
+    assert run(["hom", "enumerate", "--n", "3", "--m", "3"]) == 0
+    assert capsys.readouterr().out == _homspec_document(3, 1, 3)
+    # the head, each chunk, a separator before each later chunk, and the tail
+    chunks = -(-60 // rows_per_write)
+    assert len(writes) == 2 * chunks + 1
+
+
+def test_hom_enumerate_budget_error_counts_the_homomorphisms_found(capsys):
+    with pytest.raises(uvbraid.BudgetExceededError) as err:
+        uvbraid.enumerate_homs(uvbraid.Params(3, 1), 4, uvbraid.SearchBudget(max_nodes=30))
+    found = len(err.value.partial)
+    assert found == 24
+    assert run(["hom", "enumerate", "--n", "3", "--m", "4", "--max-nodes", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"search budget exceeded with {found} homomorphisms found\n"
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_hom_enumerate_refuses_a_degree_past_one_byte(capsys, monkeypatch, n):
+    def no_set_up(*args):
+        raise AssertionError("set-up ran before the degree was checked")
+
+    monkeypatch.setattr(uvbraid.homs, "all_perms", no_set_up)
+    monkeypatch.setattr(uvbraid.homs, "relation_codes", no_set_up)
+    assert run(["hom", "enumerate", "--n", str(n), "--m", "257"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a row holds each image point in one byte,"
+        " so m must be at most 256, got m=257\n"
+    )
+
+
+def test_hom_enumerate_takes_a_degree_of_256(capsys):
+    # UV(1, c) has no generators: one homomorphism, an empty row
+    payload = run_json(capsys, ["hom", "enumerate", "--n", "1", "--m", "256"])
+    assert payload["count"] == 1
+    assert payload["homs"] == [{"m": 256, "rho": [], "sigma": []}]
+    # at n = 2 the node budget refuses the 256! first crossing images, as before
+    assert run(["hom", "enumerate", "--n", "2", "--m", "256"]) == 2
+    assert capsys.readouterr().err == "search budget exceeded with 0 homomorphisms found\n"
+
+
+def test_hom_enumerate_builds_no_homspec(capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("hom enumerate built a HomSpec")
+
+    perms = 0
+    real_perm_init = uvbraid.Perm.__init__
+
+    def counting_perm_init(self, *args, **kwargs):
+        nonlocal perms
+        perms += 1
+        real_perm_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(uvbraid.HomSpec, "__init__", refuse)
+    monkeypatch.setattr(uvbraid.Perm, "__init__", counting_perm_init)
+    with pytest.raises(AssertionError, match="built a HomSpec"):
+        uvbraid.enumerate_homs(uvbraid.Params(3, 1), 2)
+    perms = 0
+    payload = run_json(capsys, ["hom", "enumerate", "--n", "3", "--m", "4"])
+    assert payload["count"] == 816
+    # one Perm per element of S_4 while the target is built, none per homomorphism
+    assert perms == math.factorial(4)
 
 
 # Strings over every code point, lone surrogates and control characters

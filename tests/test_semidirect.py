@@ -304,6 +304,17 @@ def test_word_problem_memory_at_large_n():
     assert peak < 120_000_000
 
 
+def test_are_equal_compares_images_with_one_identity_list():
+    # a 3-letter are_equal at n = 10^6 traced an 88 MB peak while it built
+    # the identity twice; with one identity and its copy it traces about 56 MB
+    n = 10**6
+    p = Params(n, 1)
+    w = parse_word(f"s1.1 r{n - 2} S{n - 1}.1", p)
+    equal, peak = _traced_peak(lambda: are_equal(w, Word(p)))
+    assert equal is False
+    assert peak < 72_000_000
+
+
 def test_derived_words_check_no_letter(monkeypatch):
     import uvbraid.raag
     import uvbraid.words
