@@ -56,6 +56,7 @@ from .words import (
     Letter,
     Params,
     ParseError,
+    SizeLimitError,
     Word,
     alphabet,
     defining_relations,
@@ -85,6 +86,7 @@ __all__ = [
     "ProofResult",
     "QuotElem",
     "SearchBudget",
+    "SizeLimitError",
     "Word",
     "abelianize",
     "alphabet",

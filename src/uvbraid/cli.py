@@ -18,7 +18,7 @@ import sys
 
 from . import homs, oracle, quotients, raag, semidirect, verify
 from .perms import strand_permutation, virtual_permutation
-from .words import Params, parse_word
+from .words import Params, SizeLimitError, parse_word
 
 # ``graph dot`` refuses to print more vertex and edge lines than this.
 DOT_LINE_LIMIT = 1_000_000
@@ -477,7 +477,8 @@ def run(argv: list[str] | None = None) -> int:
         return args.handler(args, params)
     except (ValueError, OverflowError) as exc:
         big = [f"--{name}" for name in ("n", "c") if getattr(args, name, 0) > sys.maxsize]
-        if big and isinstance(exc, OverflowError):  # CPython's text names no option or limit
+        # neither CPython's overflow text nor a size limit's names the option
+        if big and isinstance(exc, (OverflowError, SizeLimitError)):
             exc = ValueError(f"{big[0]} must be at most sys.maxsize = {sys.maxsize}")
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -2,16 +2,18 @@
 
 A homomorphism to S_m is specified by its generator images
 (``HomSpec``).  Every relation check reads ``words.relation_codes``,
-the defining relations in generator codes, and evaluates it on plain
-image tuples indexed by code; no ``Word`` is built.
-``verify_homspec`` checks every relation instance and reports the
-first failure.  ``enumerate_rows`` backtracks over generator images in
-code order: involutions for the virtual letters, then crossing images
-column by column, where the slide relations force every image beyond
-the first row.  Each relation is checked once, when its last generator
-is assigned; the involution and slide relations hold by construction
-and are not checked at all, so a full assignment is kept as it stands,
-packed into one row of bytes.
+the defining relations in generator codes, indexed by code; no
+``Word`` is built.  ``verify_homspec`` checks every relation instance
+of a ``HomSpec`` on image tuples and reports the first failure; a
+``HomSpec`` may have any m.  ``enumerate_rows`` holds every image as
+``bytes``, one byte per point, and multiplies by ``bytes.translate``
+(``compose_images``), so it takes m up to 256.  It backtracks over
+generator images in code order: involutions for the virtual letters,
+then crossing images column by column, where the slide relations force
+every image beyond the first row.  Each relation is checked once, when
+its last generator is assigned; the involution and slide relations hold
+by construction and are not checked at all, so a full assignment is
+kept as it stands, its images joined into one row of bytes.
 The search runs up to conjugation in S_m: under r1 only the first
 involution of each conjugacy class is searched, and the rows found
 there are conjugated onto each later involution of that class.
@@ -39,14 +41,25 @@ import math
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice, permutations
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
-from .perms import Perm, adjacent, all_perms, identity
-from .words import SIGMA, Codes, Params, Word, relation_codes
+from .perms import Perm, adjacent, identity
+from .words import SIGMA, Codes, Params, SizeLimitError, Word, relation_codes, relation_count
 
 Bits = tuple[int, ...]
+
+# Most steps, R (m + 40), of verifying a homomorphism into S_m, R the
+# relation count (``words.relation_count``): each relation instance is
+# checked by products over m points, and its table entry costs about as
+# much as 40 more (0.14 us a point, 5.6 us an entry, Python 3.11 on a
+# 2-core x86-64 host).  So the limit takes about 1.5 s; at c = 1 and
+# m = n it passes n = 159 and refuses n = 160.
+VERIFY_STEP_LIMIT = 10_000_000
+# Most colours c for which ``abelianize`` writes out its c exponent
+# sums; ``ab`` and ``quot eval`` print one line per sum.
+EXPONENT_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -127,7 +140,9 @@ def _check_shape(h: HomSpec, params: Params) -> None:
             raise ValueError(f"image degree {p.n} does not match m={h.m}")
 
 
-Image = tuple[int, ...]  # a permutation of 0..m-1 as its tuple of images
+# A permutation of 0..m-1 as its tuple of images: the kernel of the
+# HomSpec paths, which take any m.  The search and its rows use bytes.
+Image = tuple[int, ...]
 
 
 def _mul(a: Image, b: Image) -> Image:
@@ -153,9 +168,26 @@ def _homspec(m: int, perms: list[Perm], params: Params) -> HomSpec:
     return HomSpec(m, tuple(perms[: params.n - 1]), tuple(zip(*[sigma] * params.c)))
 
 
+def _check_verify_steps(params: Params, m: int) -> None:
+    relations = relation_count(params)
+    steps = relations * (m + 40)
+    if steps > VERIFY_STEP_LIMIT:
+        raise SizeLimitError(
+            f"verifying a homomorphism into S_{m} takes {steps} steps,"
+            f" R (m + 40) with R = {relations} relations for"
+            f" n={params.n}, c={params.c}, more than VERIFY_STEP_LIMIT = {VERIFY_STEP_LIMIT}"
+        )
+
+
 def verify_homspec(h: HomSpec, params: Params) -> tuple[bool, Optional[str]]:
-    """Check every defining relation instance; return (ok, first failing label)."""
+    """Check every defining relation instance; return (ok, first failing label).
+
+    Refuses with a ``SizeLimitError``, a ``ValueError``, before the
+    relation table is built, a check of more than ``VERIFY_STEP_LIMIT``
+    steps.
+    """
     _check_shape(h, params)
+    _check_verify_steps(params, h.m)
     imgs, one = _code_images(h), tuple(range(h.m))
     for label, lhs, rhs in relation_codes(params):
         if _product(lhs, imgs, one) != _product(rhs, imgs, one):
@@ -164,7 +196,7 @@ def verify_homspec(h: HomSpec, params: Params) -> tuple[bool, Optional[str]]:
 
 
 def has_abelian_image(h: HomSpec) -> bool:
-    return _commute(_code_images(h))
+    return _commute(_code_images(h), _mul)
 
 
 def check_bits(bits: Bits, params: Params) -> None:
@@ -177,10 +209,16 @@ def check_bits(bits: Bits, params: Params) -> None:
 def hom_from_bits(bits: Bits, params: Params) -> HomSpec:
     """The on/off map to S_n: bit t switches colour t, the last bit the
     virtual letters; every switched-on letter maps to its adjacent
-    transposition."""
+    transposition.
+
+    The map is built to be verified, so one whose verification would
+    take more than ``VERIFY_STEP_LIMIT`` steps is refused with a
+    ``SizeLimitError`` before any of its (n - 1)(c + 1) images is built.
+    """
     check_bits(bits, params)
     if params.n < 2:
         raise ValueError("on/off maps need n >= 2")
+    _check_verify_steps(params, params.n)
     n, c = params.n, params.c
     one = identity(n)
     image_rho = tuple(adjacent(n, i) if bits[c] else one for i in range(1, n))
@@ -213,6 +251,16 @@ class AbelImage:
 
 
 def abelianize(w: Word) -> AbelImage:
+    """The exponent sum of each colour and the virtual letter count mod 2.
+
+    Refuses with a ``SizeLimitError``, before any sum is counted, more
+    than ``EXPONENT_LIMIT`` colours.
+    """
+    if w.params.c > EXPONENT_LIMIT:
+        raise SizeLimitError(
+            f"the abelianisation has c = {w.params.c} exponent sums,"
+            f" more than EXPONENT_LIMIT = {EXPONENT_LIMIT}"
+        )
     sums = [0] * w.params.c
     rho_count = 0
     for letter in w:
@@ -225,10 +273,11 @@ def abelianize(w: Word) -> AbelImage:
 
 def color_parity(t: int, w: Word) -> int:
     """Exponent sum of colour t mod 2; kills all relations, and is 1 on
-    any word with an odd number of colour-t crossings."""
+    any word with an odd number of colour-t crossings.  It counts those
+    crossings alone, so it answers at any c."""
     if not 1 <= t <= w.params.c:
         raise ValueError(f"colour {t} out of range 1..{w.params.c}")
-    return abelianize(w).sigma_exponents[t - 1] % 2
+    return sum(1 for letter in w if letter.kind == SIGMA and letter.t == t) % 2
 
 
 @dataclass
@@ -264,17 +313,36 @@ def row_images(row: bytes, m: int) -> list[bytes]:
     return [row[k : k + m] for k in range(0, len(row), m)]
 
 
+def image_table(a: bytes) -> bytes:
+    """The ``bytes.translate`` table of a byte image of m points: its
+    images, then zeros up to the 256 entries a table has.  No point of
+    an m-point image reaches the zeros."""
+    return a + bytes(256 - len(a))
+
+
+def compose_images(a: bytes, b: bytes) -> bytes:
+    """The product a*b of two byte images of one degree, mapping x to
+    a(b(x)): ``translate`` sends each point x of b to a[x]."""
+    return b.translate(image_table(a))
+
+
+def _byte_product(codes: Codes, tables: list[bytes], one: bytes) -> bytes:
+    """The product of the images whose tables sit at ``codes``, with the
+    codes in reverse: ``one`` is translated by the last factor first."""
+    return reduce(bytes.translate, map(tables.__getitem__, codes), one)
+
+
 def row_is_abelian(row: bytes, m: int) -> bool:
     """Whether the generator images of a row commute pairwise."""
-    return _commute(row_images(row, m))
+    return _commute(row_images(row, m), compose_images)
 
 
-def _commute(images: list) -> bool:
-    """Whether these 0-based image sequences commute pairwise."""
-    return all(_mul(a, b) == _mul(b, a) for a, b in combinations(set(images), 2))
+def _commute(images: list, mul: Callable) -> bool:
+    """Whether these images commute pairwise under the product ``mul``."""
+    return all(mul(a, b) == mul(b, a) for a, b in combinations(set(images), 2))
 
 
-def _conjugator(y: Image) -> tuple[int, Image]:
+def _conjugator(y: bytes) -> tuple[int, Image]:
     """(k, g) with g x_k g^-1 = y for the class representative x_k of y.
 
     g sends x_k's 2-cycles (2i 2i+1), and then its fixed points, in order
@@ -335,7 +403,7 @@ def enumerate_rows(
     An m above ``ROW_DEGREE_LIMIT`` does not fit a byte and is refused
     with a ``ValueError`` before any set-up.
 
-    Backtracking over image tuples in generator code order (see
+    Backtracking over byte images in generator code order (see
     ``words.relation_codes``): each virtual image ranges over the
     involutions of S_m, each s<1>.<t> over all of S_m, and every later
     crossing of a column is forced by its slide relation to y s y^-1 with
@@ -344,7 +412,9 @@ def enumerate_rows(
     and ``slide(s<i>.<t>)``, which hold by construction.  One node is
     spent per involution or S_m element tried; forced images are free.
     A full assignment has passed every relation on the way down, so it
-    is kept as a row without a final ``verify_homspec``.
+    is kept as a row without a final ``verify_homspec``.  Each image
+    assigned comes with its ``image_table``, so a product of k images is
+    k translates of the identity, read right to left.
 
     The search runs up to conjugation in S_m.  Conjugating by g maps
     homomorphisms to homomorphisms, and the search subtree under
@@ -360,12 +430,12 @@ def enumerate_rows(
     So the node count, a node budget error's message and its partial
     list are exactly the plain search's.
 
-    The clock is checked once the relation table is built, every 256
-    nodes, before each full assignment is kept and before each
-    conjugated row is built.  A negative ``max_nodes`` is refused before
-    any set-up.  A NaN ``max_seconds`` would never run out, so it is
-    refused; ``inf`` means no time limit, and a negative one is a clock
-    already spent.
+    The clock is checked every 256 elements while S_m is built, once
+    the relation table is built, every 256 nodes, before each full
+    assignment is kept and before each conjugated row is built.  A
+    negative ``max_nodes`` is refused before any set-up.  A NaN
+    ``max_seconds`` would never run out, so it is refused; ``inf`` means
+    no time limit, and a negative one is a clock already spent.
     """
     _check_degree(m)
     if m > ROW_DEGREE_LIMIT:
@@ -405,46 +475,50 @@ def enumerate_rows(
         if nodes % 256 == 0:
             check_time()
 
-    # every element of S_m as an image tuple, and its bytes for the rows
-    packed: dict[Image, bytes] = {}
-    for p in all_perms(m):
-        if len(packed) % 256 == 0:
-            check_time()
-        image = tuple(y - 1 for y in p.images)
-        packed[image] = bytes(image)
-    sym, one = list(packed), tuple(range(m))
-    involutions = [p for p in sym if _mul(p, p) == one]
+    # every element of S_m as a byte image, 256 at a time between clock checks
+    points = permutations(range(m))
+    sym: list[bytes] = []
+    for _ in range(0, order, 256):
+        check_time()
+        sym += map(bytes, islice(points, 256))
+    one = bytes(range(m))
+    involutions = [p for p in sym if compose_images(p, p) == one]
+    # each generator's image and its translate table, set together
     imgs = [one] * ((n - 1) * (params.c + 1))
+    tables = [image_table(one)] * len(imgs)
     # the code of each generator, in the order of a row
     crossings = [(n - 1) * t + i for i in range(n - 1) for t in range(1, params.c + 1)]
     row_order = itemgetter(*range(n - 1), *crossings)
     completes: list[list[tuple[Codes, Codes]]] = [[] for _ in imgs]
     for label, lhs, rhs in relation_codes(params):
-        # virtual images are involutions and forced crossings are slides by construction
+        # virtual images are involutions and forced crossings are slides by
+        # construction; each side is kept reversed, as _byte_product reads it
         if not label.startswith(("invol(", "slide(")):
-            completes[max(lhs + rhs)].append((lhs, rhs))
+            completes[max(lhs + rhs)].append((lhs[::-1], rhs[::-1]))
     check_time()
 
     def holds(k: int) -> bool:
         return all(
-            _product(lhs, imgs, one) == _product(rhs, imgs, one) for lhs, rhs in completes[k]
+            _byte_product(lhs, tables, one) == _byte_product(rhs, tables, one)
+            for lhs, rhs in completes[k]
         )
 
     def assign(k: int) -> None:
         if k == len(imgs):
             check_time()
-            found.append(b"".join(map(packed.__getitem__, row_order(imgs))))
+            found.append(b"".join(row_order(imgs)))
             return
         row = k % (n - 1)
         if k >= n - 1 and row:
             # slide: s<i+1>.<t> = y s<i>.<t> y^-1 with y = r<i> r<i+1>, i = row
-            imgs[k] = _product((row - 1, row, k - 1, row, row - 1), imgs, one)
+            imgs[k] = image = _byte_product((row - 1, row, k - 1, row, row - 1), tables, one)
+            tables[k] = image_table(image)
             if holds(k):
                 assign(k + 1)
             return
         for g in (involutions if k < n - 1 else sym):
             spend()
-            imgs[k] = g
+            imgs[k], tables[k] = g, image_table(g)
             if holds(k):
                 assign(k + 1)
 
@@ -460,16 +534,15 @@ def enumerate_rows(
             # c = g g0^-1 sends g0(z) to g(z), so c y0 c^-1 = y; and
             # c a c^-1 sends z to c(a(c^-1(z))): translate each point of
             # a row by c, then read each image's points at c^-1
-            c = tuple(map(dict(zip(g0, g)).__getitem__, one))
+            table = image_table(bytes(map(dict(zip(g0, g)).__getitem__, one)))
             c_inverse = tuple(map(dict(zip(g, g0)).__getitem__, one))
-            table = bytes(c) + bytes(256 - m)  # translate reads 256 entries
             gather = itemgetter(*[j + z for j in range(0, len(imgs) * m, m) for z in c_inverse])
             for row in first_rows:
                 check_time()
                 found.append(bytes(gather(row.translate(table))))
             continue
         # no relation is completed by r1 alone once invol(r1) is left out
-        imgs[0], before, start = y, nodes, len(found)
+        imgs[0], tables[0], before, start = y, image_table(y), nodes, len(found)
         assign(1)
         if k not in searched:
             searched[k] = (found[start:], nodes - before, g)

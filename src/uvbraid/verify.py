@@ -356,7 +356,8 @@ def _image_order(row: bytes, m: int) -> int:
     reached = [bytes(range(m))]
     seen = set(reached)
     for x in reached:  # the list grows while it is walked
-        new = {bytes(map(x.__getitem__, g)) for g in gens} - seen
+        table = homs.image_table(x)  # x * g is g translated by x's table
+        new = {g.translate(table) for g in gens} - seen
         seen |= new
         reached += new
     return len(reached)

@@ -66,6 +66,13 @@ class Params:
             raise ValueError(f"colour count must be >= 1, got c={self.c}")
 
 
+class SizeLimitError(ValueError):
+    """A refusal, before any work, of a computation whose size in closed
+    form in (n, c) passes one of the program's limits.  The CLI names
+    ``--n`` or ``--c`` instead when that option is past ``sys.maxsize``,
+    as for an ``OverflowError``."""
+
+
 # How many Params keep their tables.  One workload touches at most about
 # 25 (``verify-paper``), so none is built twice within it.
 TABLES_KEPT = 64
@@ -377,6 +384,22 @@ def relation_codes(params: Params) -> tuple[tuple[str, Codes, Codes], ...]:
             a = (n - 1) * t + i - 1
             rels.append((f"slide(s{i}.{t})", (i - 1, i, a), (a + 1, i - 1, i)))
     return tuple(rels)
+
+
+def relation_count(params: Params) -> int:
+    """``len(relation_codes(params))`` in closed form, without the table.
+
+    With k = n - 2 middle strands and F = k(k - 1)/2 far pairs: k braid
+    relations, F far virtual commutations, n - 1 involutions, c^2 F far
+    crossing commutations, 2cF crossing/virtual ones and ck slides.
+
+    >>> relation_count(Params(3, 1)) == len(relation_codes(Params(3, 1))) == 4
+    True
+    """
+    n, c = params.n, params.c
+    k = max(n - 2, 0)
+    far = k * (k - 1) // 2
+    return (c + 1) ** 2 * far + (c + 1) * k + max(n - 1, 0)
 
 
 def defining_relations(params: Params) -> tuple[Relation, ...]:

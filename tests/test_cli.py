@@ -600,7 +600,7 @@ def test_hom_enumerate_refuses_a_degree_past_one_byte(capsys, monkeypatch, n):
     def no_set_up(*args):
         raise AssertionError("set-up ran before the degree was checked")
 
-    monkeypatch.setattr(uvbraid.homs, "all_perms", no_set_up)
+    monkeypatch.setattr(uvbraid.homs, "permutations", no_set_up)
     monkeypatch.setattr(uvbraid.homs, "relation_codes", no_set_up)
     assert run(["hom", "enumerate", "--n", str(n), "--m", "257"]) == 2
     captured = capsys.readouterr()
@@ -640,8 +640,8 @@ def test_hom_enumerate_builds_no_homspec(capsys, monkeypatch):
     perms = 0
     payload = run_json(capsys, ["hom", "enumerate", "--n", "3", "--m", "4"])
     assert payload["count"] == 816
-    # one Perm per element of S_4 while the target is built, none per homomorphism
-    assert perms == math.factorial(4)
+    # the target S_4 is built as byte images: no Perm per element, none per homomorphism
+    assert perms == 0
 
 
 # Strings over every code point, lone surrogates and control characters
@@ -702,3 +702,68 @@ def test_verify_paper_runs_clean(capsys):
     assert len(claims) == 15
     assert len(set(claims)) == 15
     assert all(r["ok"] for r in payload["results"])
+
+
+def test_hom_phi_and_check_refuse_past_the_step_limit(capsys, monkeypatch):
+    def no_set_up(*args):
+        raise AssertionError("set-up ran before the step limit was checked")
+
+    monkeypatch.setattr(uvbraid.homs, "relation_codes", no_set_up)
+    for n in (160, 100_000):
+        assert run(["hom", "phi", "--n", str(n), "--eps", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: verifying a homomorphism into S_{n} takes")
+        assert captured.err.endswith("more than VERIFY_STEP_LIMIT = 10000000\n")
+    # 351 virtual and 351 crossing images of one point: R = 245,351 relations
+    doc = {"m": 1, "rho": [[1]] * 351, "sigma": [[[1]]] * 351}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert run(["hom", "check", "--n", "352"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verifying a homomorphism into S_1 takes 10059391 steps, R (m + 40)"
+        " with R = 245351 relations for n=352, c=1, more than VERIFY_STEP_LIMIT = 10000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ab", "--word", "r1"], ["quot", "eval", "--d", "2", "--word", "r1"]],
+    ids=["ab", "quot eval"],
+)
+def test_exponent_vectors_past_the_limit_exit_2(argv):
+    src = Path(uvbraid.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "uvbraid", *argv, "--n", "3", "--c", "1000000000"],
+        capture_output=True, text=True, env=env, timeout=60,
+        # a dense vector of 10^9 sums would need 8 GB
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9)),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: the abelianisation has c = 1000000000 exponent sums,"
+        " more than EXPONENT_LIMIT = 1000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["ab", "--word", "r1"], ["quot", "eval", "--d", "2", "--word", "r1"]]
+)
+def test_exponent_vectors_past_sys_maxsize_name_the_option(capsys, argv):
+    assert run(argv + ["--n", "3", "--c", str(10**20)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --c must be at most sys.maxsize = {sys.maxsize}\n"
+
+
+def test_chi_answers_at_any_c(capsys):
+    for c in ("1000000000", "100000000000000000000"):
+        payload = run_json(capsys, ["chi", "--n", "3", "--c", c, "--t", "1", "--word", "s1.1"])
+        assert payload["parity"] == 1
+        payload = run_json(
+            capsys, ["chi", "--n", "3", "--c", c, "--t", c, "--word", f"s1.1 s2.{c} r1"]
+        )
+        assert payload["parity"] == 1

@@ -1,6 +1,7 @@
 """Homomorphisms as rows: ``enumerate_rows`` against ``enumerate_homs``,
 the row readers, and the budget of the row search."""
 
+from itertools import permutations
 from math import factorial
 from operator import itemgetter
 from types import SimpleNamespace
@@ -120,5 +121,51 @@ def test_small_target_rigidity_builds_no_homspec(monkeypatch):
     monkeypatch.setattr(Perm, "__init__", counting_perm_init)
     result = dict(verify.CHECKS)["small-target-rigidity"](verify.DEFAULT_SEED)
     assert result.ok, result.details
-    # one Perm per element of each target S_2 .. S_5, none per homomorphism
-    assert perms == sum(factorial(m) for m in range(2, 6))
+    # the search and the claim read byte images: no Perm per element of
+    # each target S_2 .. S_5, and none per homomorphism
+    assert perms == 0
+
+
+def tuple_row_images(row: bytes, m: int) -> list[tuple[int, ...]]:
+    return [tuple(image) for image in uvbraid.homs.row_images(row, m)]
+
+
+def tuple_image_order(row: bytes, m: int) -> int:
+    """The closure of a row's images under right multiplication, by the
+    tuple product of the ``HomSpec`` paths."""
+    gens = set(tuple_row_images(row, m))
+    reached = {tuple(range(m))}
+    frontier = list(reached)
+    while frontier:
+        new = {uvbraid.homs._mul(x, g) for x in frontier for g in gens} - reached
+        reached |= new
+        frontier = list(new)
+    return len(reached)
+
+
+def test_byte_composition_is_the_tuple_product():
+    perms = [bytes(p) for p in permutations(range(4))]
+    for a in perms:
+        for b in perms:
+            got = uvbraid.homs.compose_images(a, b)
+            assert tuple(got) == uvbraid.homs._mul(tuple(a), tuple(b))
+    # a degree of 256 fills the whole table, with no padding
+    a, b = bytes(range(255, -1, -1)), bytes(range(1, 256)) + b"\x00"
+    assert uvbraid.homs.compose_images(a, b) == bytes(a[x] for x in b)
+
+
+def test_row_kernel_matches_the_tuple_product_at_5_1_4():
+    rows = enumerate_rows(Params(5, 1), 4)
+    assert len(rows) == 72
+    for row in rows:
+        images = tuple_row_images(row, 4)
+        assert row_is_abelian(row, 4) == uvbraid.homs._commute(images, uvbraid.homs._mul)
+        assert verify._image_order(row, 4) == tuple_image_order(row, 4)
+
+
+def test_row_kernel_matches_the_tuple_product_on_non_abelian_rows_at_5_1_5():
+    rows = [row for row in enumerate_rows(Params(5, 1), 5) if not row_is_abelian(row, 5)]
+    assert len(rows) == 240
+    for row in rows:
+        assert not uvbraid.homs._commute(tuple_row_images(row, 5), uvbraid.homs._mul)
+        assert verify._image_order(row, 5) == tuple_image_order(row, 5) == 120

@@ -12,6 +12,7 @@ from uvbraid import (
     Params,
     Perm,
     SearchBudget,
+    SizeLimitError,
     Word,
     abelianize,
     color_parity,
@@ -26,7 +27,7 @@ from uvbraid import (
 )
 from uvbraid.homs import check_bits, has_abelian_image
 from uvbraid.perms import transposition
-from uvbraid.words import alphabet
+from uvbraid.words import alphabet, relation_codes, relation_count
 
 from perm_reference import compose
 
@@ -223,7 +224,7 @@ def test_enumerate_homs_refuses_a_negative_node_budget(monkeypatch, n):
     def no_set_up(*args):
         raise AssertionError("set-up ran before the budget was checked")
 
-    monkeypatch.setattr(uvbraid.homs, "all_perms", no_set_up)
+    monkeypatch.setattr(uvbraid.homs, "permutations", no_set_up)
     monkeypatch.setattr(uvbraid.homs, "relation_codes", no_set_up)
     with pytest.raises(ValueError, match="node budget must be >= 0, got max_nodes=-5"):
         enumerate_homs(Params(n, 1), 1, SearchBudget(max_nodes=-5))
@@ -239,15 +240,15 @@ def test_enumerate_homs_budget_covers_building_the_target(monkeypatch):
     import uvbraid.homs
 
     produced = 0
-    real_all_perms = uvbraid.homs.all_perms
+    real_permutations = uvbraid.homs.permutations
 
-    def counting_all_perms(m):
+    def counting_permutations(points):
         nonlocal produced
-        for p in real_all_perms(m):
+        for p in real_permutations(points):
             produced += 1
             yield p
 
-    monkeypatch.setattr(uvbraid.homs, "all_perms", counting_all_perms)
+    monkeypatch.setattr(uvbraid.homs, "permutations", counting_permutations)
     max_nodes = 10
     with pytest.raises(BudgetExceededError) as err:
         enumerate_homs(Params(3, 1), 8, SearchBudget(max_nodes=max_nodes, max_seconds=60.0))
@@ -290,7 +291,7 @@ def test_enumerate_homs_budget_covers_the_relation_table(monkeypatch):
     # a fake clock that only advances while the relation table is built
     now = 0.0
     products = 0
-    real_table, real_product = uvbraid.homs.relation_codes, uvbraid.homs._product
+    real_table, real_product = uvbraid.homs.relation_codes, uvbraid.homs._byte_product
 
     def slow_table(params):
         nonlocal now
@@ -304,7 +305,7 @@ def test_enumerate_homs_budget_covers_the_relation_table(monkeypatch):
 
     monkeypatch.setattr(uvbraid.homs, "time", SimpleNamespace(monotonic=lambda: now))
     monkeypatch.setattr(uvbraid.homs, "relation_codes", slow_table)
-    monkeypatch.setattr(uvbraid.homs, "_product", counting_product)
+    monkeypatch.setattr(uvbraid.homs, "_byte_product", counting_product)
     with pytest.raises(BudgetExceededError, match="time budget") as err:
         enumerate_homs(Params(5, 1), 3, SearchBudget(max_seconds=0.5))
     assert err.value.partial == []
@@ -367,3 +368,59 @@ def test_evaluate_is_a_homomorphism_for_enumerated_homs(data):
     v = Word(p, tuple(data.draw(letters)))
     assert h.evaluate(u * v) == compose(h.evaluate(u), h.evaluate(v))
     assert h.evaluate(u * u.inverse()).is_identity
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("c", (1, 2, 3))
+def test_relation_count_is_the_table_length(n, c):
+    assert relation_count(Params(n, c)) == len(relation_codes(Params(n, c)))
+
+
+def test_verification_past_the_step_limit_is_refused_before_set_up(monkeypatch):
+    import uvbraid.homs
+
+    def no_set_up(*args):
+        raise AssertionError("set-up ran before the step limit was checked")
+
+    # R (m + 40) at c = 1, m = n: 9,841,744 steps at n = 159, 10,017,400 at 160
+    assert hom_from_bits((1, 1), Params(159, 1)).m == 159
+    monkeypatch.setattr(uvbraid.homs, "relation_codes", no_set_up)
+    monkeypatch.setattr(uvbraid.homs, "adjacent", no_set_up)
+    assert issubclass(SizeLimitError, ValueError)
+    message = "more than VERIFY_STEP_LIMIT = 10000000"
+    for n in (160, 300, 100_000, 10**20):
+        with pytest.raises(SizeLimitError, match=message):
+            hom_from_bits((1, 1), Params(n, 1))
+        with pytest.raises(SizeLimitError, match=message):
+            is_admissible((1, 1), Params(n, 1))
+    # a HomSpec of any m: at n = 3 there are c + 3 relations
+    one = Perm((1,))
+    h = HomSpec(1, (one, one), ((one,) * 2_000_000,) * 2)
+    with pytest.raises(SizeLimitError, match=r"2000003 relations for n=3, c=2000000, more than"):
+        verify_homspec(h, Params(3, 2_000_000))
+
+
+def test_abelianisation_past_the_exponent_limit_is_refused():
+    from uvbraid.homs import EXPONENT_LIMIT
+    from uvbraid.quotients import quotient_image
+
+    w = parse_word("s1.1 r2", Params(3, EXPONENT_LIMIT))
+    assert abelianize(w).sigma_exponents == (1,) + (0,) * (EXPONENT_LIMIT - 1)
+    for c in (EXPONENT_LIMIT + 1, 10**9, 10**20):
+        w = parse_word("s1.1 r2", Params(3, c))
+        with pytest.raises(SizeLimitError, match="more than EXPONENT_LIMIT = 1000000"):
+            abelianize(w)
+        with pytest.raises(SizeLimitError, match="more than EXPONENT_LIMIT = 1000000"):
+            quotient_image(w, 2)
+        # one colour's parity reads its own crossings only
+        assert color_parity(1, w) == 1
+        assert color_parity(c, parse_word(f"s2.{c} S1.{c} s1.{c}", Params(3, c))) == 1
+        assert color_parity(c, w) == 0
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_color_parity_is_the_exponent_sum_mod_2(n, c, seed):
+    w = random_word(Params(n, c), random.Random(seed), 12)
+    sums = abelianize(w).sigma_exponents
+    assert [color_parity(t, w) for t in range(1, c + 1)] == [x % 2 for x in sums]

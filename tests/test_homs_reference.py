@@ -222,14 +222,14 @@ def test_a_node_budget_error_does_not_search_again(monkeypatch):
     import uvbraid.homs
 
     products = 0
-    real_product = uvbraid.homs._product
+    real_product = uvbraid.homs._byte_product
 
     def counting_product(*args):
         nonlocal products
         products += 1
         return real_product(*args)
 
-    monkeypatch.setattr(uvbraid.homs, "_product", counting_product)
+    monkeypatch.setattr(uvbraid.homs, "_byte_product", counting_product)
     p = Params(5, 1)
     enumerate_homs(p, 5, SearchBudget(max_nodes=10**9, max_seconds=60.0))
     unlimited, products = products, 0
