@@ -436,6 +436,13 @@ def enumerate_rows(
     negative ``max_nodes`` is refused before any set-up.  A NaN
     ``max_seconds`` would never run out, so it is refused; ``inf`` means
     no time limit, and a negative one is a clock already spent.
+
+    The relation table is built whole before the first node, so the
+    node budget does not bound it; and a search run to the end checks
+    every relation on the trivial homomorphism, which is always found.
+    So an enumeration costs at least one verification, and one of more
+    than ``VERIFY_STEP_LIMIT`` steps is refused with a
+    ``SizeLimitError`` before S_m or the table is built.
     """
     _check_degree(m)
     if m > ROW_DEGREE_LIMIT:
@@ -449,6 +456,7 @@ def enumerate_rows(
         raise ValueError(f"node budget must be >= 0, got max_nodes={budget.max_nodes}")
     if math.isnan(budget.max_seconds):
         raise ValueError("time budget must be a number of seconds or inf, got nan")
+    _check_verify_steps(params, m)
     n = params.n
     if n == 1:
         return [b""]

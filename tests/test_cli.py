@@ -727,6 +727,25 @@ def test_hom_phi_and_check_refuse_past_the_step_limit(capsys, monkeypatch):
     )
 
 
+def test_hom_enumerate_past_the_step_limit_exits_2():
+    # the relation table, built before the first node, once ran out of
+    # memory here whatever the node budget
+    src = Path(uvbraid.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "uvbraid", "hom", "enumerate", "--n", "2000", "--m", "2",
+         "--max-nodes", "100"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9)),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: verifying a homomorphism into S_2 takes 335412294 steps, R (m + 40)"
+        " with R = 7986007 relations for n=2000, c=1, more than VERIFY_STEP_LIMIT = 10000000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["ab", "--word", "r1"], ["quot", "eval", "--d", "2", "--word", "r1"]],

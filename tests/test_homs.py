@@ -400,6 +400,28 @@ def test_verification_past_the_step_limit_is_refused_before_set_up(monkeypatch):
         verify_homspec(h, Params(3, 2_000_000))
 
 
+def test_enumeration_past_the_step_limit_is_refused_before_set_up(monkeypatch):
+    import uvbraid.homs
+
+    calls = []
+
+    def counted(name):
+        def refuse(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} ran before the step limit was checked")
+
+        return refuse
+
+    monkeypatch.setattr(uvbraid.homs, "relation_codes", counted("relation_codes"))
+    monkeypatch.setattr(uvbraid.homs, "permutations", counted("permutations"))
+    # 7,986,007 relations at n = 2000: the table alone once ran out of memory
+    for n, m in ((2000, 2), (100_000, 2), (352, 1), (10**20, 3)):
+        budget = SearchBudget(max_nodes=100)
+        with pytest.raises(SizeLimitError, match="more than VERIFY_STEP_LIMIT = 10000000$"):
+            enumerate_homs(Params(n, 1), m, budget)
+    assert calls == []
+
+
 def test_abelianisation_past_the_exponent_limit_is_refused():
     from uvbraid.homs import EXPONENT_LIMIT
     from uvbraid.quotients import quotient_image

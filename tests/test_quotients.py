@@ -23,7 +23,10 @@ from uvbraid.quotients import (
     ORDER_DIGIT_LIMIT,
     UNITS_STEP_LIMIT,
     _closure,
+    _digits,
+    _generator_moves,
     _letter_image,
+    _translation,
     quotient_identity,
 )
 from uvbraid.words import alphabet, rho, sigma
@@ -166,26 +169,94 @@ def reference_closure(params, d, letters):
     return reached
 
 
-# every small case, then the 2,160 elements at n = 6, c = 1, d = 3
+def expand_closure(params, d):
+    """The elements (vector, permutation images) of ``_closure``'s
+    subgroup: (t_p + k, p) for every permutation p and k in K."""
+    perms, tops, label = _closure(params, d)
+    vecs = list(itertools.product(range(d), repeat=params.c))
+    kernel = [vecs[x] for x, k in enumerate(label) if k == 0]
+    # label numbers the cosets of K: x and y share a label iff x - y is in K
+    index = {vec: x for x, vec in enumerate(vecs)}
+    for x, vec in enumerate(vecs):
+        assert {label[index[add(vec, k, d)]] for k in kernel} == {label[x]}
+    assert len(set(label)) * len(kernel) == len(vecs)
+    return {
+        (add(vecs[top], k, d), tuple(y + 1 for y in perm))
+        for perm, top in zip(perms, tops)
+        for k in kernel
+    }
+
+
+def add(u, v, d):
+    return tuple((x + y) % d for x, y in zip(u, v))
+
+
+def closure_letters(params):
+    return [rho(i) for i in range(1, params.n)] + [sigma(1, t) for t in range(1, params.c + 1)]
+
+
+# every small case, then the 2,160 elements at n = 6, c = 1, d = 3 and
+# the 36 at n = 3, c = 1, d = 6
 @pytest.mark.parametrize(
-    "d,c,n", [(d, c, n) for d in (2, 3) for c in (1, 2) for n in range(2, 6)] + [(3, 1, 6)]
+    "d,c,n",
+    [(d, c, n) for d in (2, 3) for c in (1, 2) for n in range(2, 6)] + [(3, 1, 6), (6, 1, 3)],
 )
 def test_flat_closure_matches_qmul_closure(n, c, d):
     params = Params(n, c)
-    vecs = list(itertools.product(range(d), repeat=c))
-    flat = [(vecs[code], perm) for code, perm in _closure(params, d)]
-    generators = [rho(i) for i in range(1, n)] + [sigma(1, t) for t in range(1, c + 1)]
-    reference = [
-        (elem.vec, elem.perm.images) for elem in reference_closure(params, d, generators)
-    ]
-    # the same breadth-first order over the same generating set, which
-    # pins the sign of each s1.t at d >= 3
-    assert flat == reference
+    closure = expand_closure(params, d)
+    reference = reference_closure(params, d, closure_letters(params))
+    assert closure == {(elem.vec, elem.perm.images) for elem in reference}
     # and the same set as the closure over every letter
-    assert set(flat) == {
+    assert closure == {
         (elem.vec, elem.perm.images) for elem in reference_closure(params, d, alphabet(params))
     }
-    assert len(flat) == d**c * math.factorial(n)
+    assert len(closure) == d**c * math.factorial(n)
+
+
+@pytest.mark.parametrize("d,c", [(2, 1), (2, 4), (3, 3), (4, 2), (7, 1), (10, 2)])
+def test_translation_tables_add_vectors(d, c):
+    vecs = list(itertools.product(range(d), repeat=c))
+    index = {vec: x for x, vec in enumerate(vecs)}
+    for x, vec in enumerate(vecs):
+        assert _digits(x, c, d) == vec
+        assert _translation(vec, d) == [index[add(u, vec, d)] for u in vecs]
+
+
+@pytest.mark.parametrize("n,c,d", [(2, 1, 2), (3, 2, 3), (4, 3, 5), (5, 2, 7), (3, 1, 6)])
+def test_generator_moves_are_the_letter_images(n, c, d):
+    # each move applied to the identity (vector 0, identity permutation)
+    # is its letter's image; at d >= 3 this pins the sign of each s1.t
+    params = Params(n, c)
+    vecs = list(itertools.product(range(d), repeat=c))
+    moves = _generator_moves(params, d)
+    assert len(moves) == len(closure_letters(params))
+    for letter, (table, shift) in zip(closure_letters(params), moves):
+        image = quotient_image(Word(params, (letter,)), d)
+        assert vecs[0 if shift is None else shift[0]] == image.vec
+        assert tuple(y + 1 for y in bytes(range(n)).translate(table)) == image.perm.images
+        assert (shift is None) == (not any(image.vec))
+
+
+@pytest.mark.parametrize(
+    "n,c,d", [(2, 1, 10_000), (5, 2, 2), (2, 13, 2), (3, 1, 3_000), (7, 1, 3), (5, 2, 3)]
+)
+def test_closure_cost_follows_the_permutations(monkeypatch, n, c, d):
+    # one closure step per permutation, and K grows at most log2(d^c)
+    # times however many vectors lie over each permutation
+    import uvbraid.quotients
+
+    grown = []
+    grow = uvbraid.quotients._grow
+
+    def counted(label, reps, shift):
+        grown.append(len(reps))
+        grow(label, reps, shift)
+
+    monkeypatch.setattr(uvbraid.quotients, "_grow", counted)
+    perms, tops, label = _closure(Params(n, c), d)
+    assert len(perms) == len(tops) == len(set(perms)) == math.factorial(n)
+    assert label.count(0) == len(label) == d**c
+    assert 1 <= len(grown) <= math.ceil(c * math.log2(d))
 
 
 def test_quotient_order_units_certificate():
